@@ -1,76 +1,124 @@
 """NumPy kernels shared by the eager ops and the graph interpreter.
 
 Layout conventions: images/features are HxWxC, kernels are khxkwxCxD.
+Every kernel also accepts leading batch axes on its operands, (..., H, W, C)
+and (..., kh, kw, C, D), and works on the trailing axes only, so a stack of
+inputs gives the stack of the per-input results.
 All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def pad2d(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
-    return np.pad(x, ((p, p), (p, p), (0, 0)))
+    h, w, c = x.shape[-3:]
+    out = np.zeros(x.shape[:-3] + (h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    out[..., p : p + h, p : p + w, :] = x
+    return out
 
 
 def crop2d(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
-    return x[p : x.shape[0] - p, p : x.shape[1] - p, :]
+    return x[..., p : x.shape[-3] - p, p : x.shape[-2] - p, :]
+
+
+def _shifted_rows(x: np.ndarray, kw: int, ow: int) -> np.ndarray:
+    """The kw column shifts of x side by side: (..., H, ow, kw * C), copied once."""
+    c = x.shape[-1]
+    rows = np.empty(x.shape[:-2] + (ow, kw * c), dtype=x.dtype)
+    for j in range(kw):
+        rows[..., j * c : (j + 1) * c] = x[..., j : j + ow, :]
+    return rows
 
 
 def corr2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation with stride 1; sums over input channels."""
-    kh, kw = k.shape[0], k.shape[1]
-    win = sliding_window_view(x, (kh, kw), axis=(0, 1))  # H' x W' x C x kh x kw
-    return np.tensordot(win, k, axes=([2, 3, 4], [2, 0, 1]))
+    """Valid cross-correlation with stride 1; sums over input channels.
+
+    Row-wise im2col: with the kw column shifts copied once, kernel row i is
+    one (oh*ow, kw*C) @ (kw*C, D) product over input rows i .. i+oh-1.
+    """
+    kh, kw, c, d = k.shape[-4:]
+    h = x.shape[-3]
+    oh, ow = h - kh + 1, x.shape[-2] - kw + 1
+    rows = _shifted_rows(x, kw, ow).reshape(x.shape[:-3] + (h * ow, kw * c))
+    kr = k.reshape(k.shape[:-4] + (kh, kw * c, d))
+    out = rows[..., : oh * ow, :] @ kr[..., 0, :, :]
+    for i in range(1, kh):
+        out += rows[..., i * ow : (i + oh) * ow, :] @ kr[..., i, :, :]
+    return out.reshape(out.shape[:-2] + (oh, ow, d))
 
 
 def kgrad_corr(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Kernel-shaped correlation: out[a,b,c,d] = sum_ij x[a+i,b+j,c] * dy[i,j,d]."""
-    oh, ow = dy.shape[0], dy.shape[1]
-    win = sliding_window_view(x, (oh, ow), axis=(0, 1))  # kh x kw x C x oh x ow
-    return np.tensordot(win, dy, axes=([3, 4], [0, 1]))
+    oh, ow, d = dy.shape[-3:]
+    h, w, c = x.shape[-3:]
+    kh, kw = h - oh + 1, w - ow + 1
+    rows = _shifted_rows(x, kw, ow).reshape(x.shape[:-3] + (h * ow, kw * c))
+    dyf = dy.reshape(dy.shape[:-3] + (oh * ow, d))
+    lead = np.broadcast_shapes(x.shape[:-3], dy.shape[:-3])
+    out = np.empty(lead + (kh, kw * c, d), dtype=x.dtype)
+    for a in range(kh):
+        np.matmul(rows[..., a * ow : (a + oh) * ow, :].swapaxes(-1, -2), dyf,
+                  out=out[..., a, :, :])
+    return out.reshape(lead + (kh, kw, c, d))
 
 
 def rotswap(k: np.ndarray) -> np.ndarray:
     """180-degree spatial flip plus a swap of the two channel axes."""
-    return np.ascontiguousarray(k[::-1, ::-1].transpose(0, 1, 3, 2))
+    return np.ascontiguousarray(k[..., ::-1, ::-1, :, :].swapaxes(-1, -2))
 
 
 def sslice2d(x: np.ndarray, s: int) -> np.ndarray:
     if s == 1:
         return x
-    return np.ascontiguousarray(x[::s, ::s, :])
+    return np.ascontiguousarray(x[..., ::s, ::s, :])
 
 
 def dilate2d(x: np.ndarray, s: int, h: int, w: int) -> np.ndarray:
     """Inverse of sslice2d onto an h x w canvas: zeros off the stride grid."""
-    if s == 1 and x.shape[0] == h and x.shape[1] == w:
+    ah, aw = x.shape[-3], x.shape[-2]
+    if s == 1 and ah == h and aw == w:
         return x
-    out = np.zeros((h, w) + x.shape[2:], dtype=x.dtype)
-    out[0 : (x.shape[0] - 1) * s + 1 : s, 0 : (x.shape[1] - 1) * s + 1 : s] = x
+    out = np.zeros(x.shape[:-3] + (h, w, x.shape[-1]), dtype=x.dtype)
+    out[..., 0 : (ah - 1) * s + 1 : s, 0 : (aw - 1) * s + 1 : s, :] = x
     return out
 
 
 def avg_pool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    win = sliding_window_view(x, (window, window), axis=(0, 1))[::stride, ::stride]
-    return win.mean(axis=(3, 4))
+    """Mean over window x window cells placed every `stride` pixels."""
+    oh = (x.shape[-3] - window) // stride + 1
+    ow = (x.shape[-2] - window) // stride + 1
+    rows = (oh - 1) * stride + 1
+    cols = (ow - 1) * stride + 1
+    total = np.zeros(x.shape[:-3] + (oh, ow, x.shape[-1]), dtype=x.dtype)
+    for a in range(window):
+        for b in range(window):
+            total += x[..., a : a + rows : stride, b : b + cols : stride, :]
+    return total / float(window * window)
 
 
 def avg_unpool(gy: np.ndarray, window: int, stride: int, h: int, w: int) -> np.ndarray:
     """Adjoint of avg_pool: spreads each cell's value/window^2 over its window."""
-    out = np.zeros((h, w) + gy.shape[2:], dtype=gy.dtype)
+    out = np.zeros(gy.shape[:-3] + (h, w, gy.shape[-1]), dtype=gy.dtype)
     g = gy / float(window * window)
-    rows = (gy.shape[0] - 1) * stride
-    cols = (gy.shape[1] - 1) * stride
+    rows = (gy.shape[-3] - 1) * stride + 1
+    cols = (gy.shape[-2] - 1) * stride + 1
     for a in range(window):
         for b in range(window):
-            out[a : a + rows + 1 : stride, b : b + cols + 1 : stride] += g
+            out[..., a : a + rows : stride, b : b + cols : stride, :] += g
     return out
+
+
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(-v)), masked into two branches so no exp ever overflows:
+    v >= 0 takes 1/(1 + e) and v < 0 takes e/(1 + e), both with e = exp(-|v|)."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def fnv1a64(data: bytes) -> int:

@@ -59,6 +59,7 @@ _GN_DAMPING_MIN = 1e-14
 _GN_MAX_REJECTS_PER_STEP = 25
 _GN_STEP_CAP = 10.0          # reject steps larger than this per coordinate
 _GN_FREEZE_DISTANCE = 1e-14  # below this the step is numerical noise
+_GN_JAC_BLOCK = 16           # perturbed points per batched residual evaluation
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,14 @@ def fc_reconstruction_spread(grad_weight, grad_bias, *, tol: float = 1e-12) -> f
     return spread
 
 
+def _unique_negative_entry(gb: np.ndarray) -> int:
+    """Index of the smallest bias-gradient entry, which must be strictly negative."""
+    idx = int(np.argmin(gb))
+    if gb[idx] >= 0:
+        raise AmbiguityError("no strictly negative bias-gradient entry; cannot infer label")
+    return idx
+
+
 def label_from_gradient_sign(target: GradientBundle, spec: ModelSpec) -> int:
     """Class index of the unique negative final-layer bias-gradient entry."""
     if target.digest != spec.digest:
@@ -226,11 +235,7 @@ def label_from_gradient_sign(target: GradientBundle, spec: ModelSpec) -> int:
     name, layer, _ = spec.param_layers()[-1]
     if not isinstance(layer, Dense) or not layer.biased:
         raise ContractError("label_from_gradient_sign: final layer must be dense with bias")
-    gb = target.get(f"{name}.B").array
-    idx = int(np.argmin(gb))
-    if gb[idx] >= 0:
-        raise AmbiguityError("no strictly negative bias-gradient entry; cannot infer label")
-    return idx
+    return _unique_negative_entry(target.get(f"{name}.B").array)
 
 
 def infer_label_from_bundle(target: GradientBundle) -> int:
@@ -246,12 +251,7 @@ def infer_label_from_bundle(target: GradientBundle) -> int:
         except KeyError:
             continue
         if gb.ndim == 1 and gw.ndim == 2 and gw.shape[0] == gb.shape[0]:
-            idx = int(np.argmin(gb.array))
-            if gb.array[idx] >= 0:
-                raise AmbiguityError(
-                    "no strictly negative bias-gradient entry; cannot infer label"
-                )
-            return idx
+            return _unique_negative_entry(gb.array)
     raise ContractError("bundle has no biased dense layer to infer a label from")
 
 
@@ -345,7 +345,8 @@ class _GaussNewtonStepper:
 
     The residual vector is the flattened virtual-minus-true gradient (plus
     the mean-anchor rows for the improved variant); its Jacobian w.r.t.
-    (x, y) comes from forward differences. Each iteration solves
+    (x, y) comes from forward differences, evaluated for a block of
+    perturbed points per call of the residual plan. Each iteration solves
     (J^T J + mu I) delta = -J^T r and scales the step by eta; mu shrinks on
     success and grows on rejection. Once the distance falls below the freeze
     threshold further steps are numerical noise and the point is held.
@@ -353,26 +354,51 @@ class _GaussNewtonStepper:
 
     def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings,
                  target: GradientBundle):
-        self._resid_eval = ag.graph.evaluator([node for _, node in ag.virtual_nodes])
+        grads = [node for _, node in ag.virtual_nodes]
+        self._resid_eval = ag.graph.evaluator(grads)
+        self._block_eval = ag.graph.batch_evaluator(grads, over=("x", "y"))
         self._targets = np.concatenate([t.array.ravel() for _, t in target.tensors])
         self._bindings = bindings
         self._cfg = cfg
         self._shape = ag.graph.shape_of(ag.x)
         self._pixels = int(np.prod(self._shape))
+        self._anchor_weight = None
+        if cfg.variant == "improved" and cfg.lambda_mean > 0:
+            self._anchor_weight = np.sqrt(cfg.lambda_mean / self._pixels)
         self.step_events = 0
         self._mu: float | None = None  # seeded from the first Gram diagonal
         self._frozen = False
 
+    def _stack_rows(self, grads, flat_x) -> np.ndarray:
+        """Residual rows from the plan's gradient outputs. Everything before
+        the last axis of `flat_x` (the flattened image) is a batch prefix."""
+        lead = flat_x.shape[:-1]
+        r = np.concatenate([a.reshape(lead + (-1,)) for a in grads], axis=-1) - self._targets
+        if self._anchor_weight is not None:
+            centered = flat_x - flat_x.mean(axis=-1, keepdims=True)
+            r = np.concatenate([r, self._anchor_weight * centered], axis=-1)
+        return r
+
     def _residuals(self, x, y) -> np.ndarray:
         self._bindings["x"] = x
         self._bindings["y"] = y
-        parts = [a.ravel() for a in self._resid_eval(self._bindings)]
-        r = np.concatenate(parts) - self._targets
-        if self._cfg.variant == "improved" and self._cfg.lambda_mean > 0:
-            flat = x.ravel()
-            w = np.sqrt(self._cfg.lambda_mean / self._pixels)
-            r = np.concatenate([r, w * (flat - flat.mean())])
-        return r
+        return self._stack_rows(self._resid_eval(self._bindings), x.ravel())
+
+    def _jacobian(self, z, r) -> np.ndarray:
+        """Forward differences, one column per coordinate of z, computed
+        _GN_JAC_BLOCK perturbed points at a time."""
+        n = z.size
+        jac = np.empty((r.size, n))
+        for s in range(0, n, _GN_JAC_BLOCK):
+            cols = np.arange(s, min(s + _GN_JAC_BLOCK, n))
+            zp = np.repeat(z[None, :], cols.size, axis=0)
+            zp[np.arange(cols.size), cols] += _GN_FD_STEP
+            flat_x = zp[:, : self._pixels]
+            self._bindings["x"] = flat_x.reshape((cols.size,) + self._shape)
+            self._bindings["y"] = zp[:, self._pixels:]
+            rp = self._stack_rows(self._block_eval(self._bindings), flat_x)
+            jac[:, s : s + cols.size] = ((rp - r) / _GN_FD_STEP).T
+        return jac
 
     def step(self, x, y):
         z = np.concatenate([x.ravel(), y])
@@ -386,13 +412,7 @@ class _GaussNewtonStepper:
             return dist, x, y, dist
 
         n = z.size
-        jac = np.empty((r.size, n))
-        for i in range(n):
-            zp = z.copy()
-            zp[i] += _GN_FD_STEP
-            rp = self._residuals(zp[: self._pixels].reshape(self._shape), zp[self._pixels:])
-            jac[:, i] = (rp - r) / _GN_FD_STEP
-
+        jac = self._jacobian(z, r)
         gram = jac.T @ jac
         rhs = -(jac.T @ r)
         if self._mu is None:

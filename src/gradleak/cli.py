@@ -25,16 +25,11 @@ from .attack import (
     label_from_gradient_sign,
 )
 from .errors import (
-    AmbiguityError,
-    BiasGradientVanishesError,
     ContractError,
     DivergenceError,
-    DomainError,
-    GeometryError,
     GradleakError,
     IncompatibilityError,
     ParseError,
-    ShapeError,
 )
 from .flsim import read_bundle, victim_gradient, write_bundle
 from .metrics import ImagePair, convergence_report, mse_255, report_kv
@@ -328,10 +323,6 @@ def cli_main(argv) -> int:
         return 3
     except ParseError as e:
         print(f"gradleak: parse error: {e}", file=sys.stderr)
-        return 2
-    except (AmbiguityError, BiasGradientVanishesError, ContractError, DomainError,
-            GeometryError, IncompatibilityError, ShapeError) as e:
-        print(f"gradleak: {e}", file=sys.stderr)
         return 2
     except GradleakError as e:
         print(f"gradleak: {e}", file=sys.stderr)

@@ -176,6 +176,10 @@ def deserialize_bundle(data: bytes) -> GradientBundle:
             )
         payload = r.take(size * 8, "tensor payload")
         values = np.frombuffer(payload, dtype="<f8").reshape(tuple(dims))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ParseError(f"tensor {name!r} holds a non-finite value",
+                             payload_at + 8 * int(bad[0]))
         tensors.append((name, Tensor(values)))
     if r.pos != len(data):
         raise ParseError(f"{len(data) - r.pos} trailing bytes after last tensor", r.pos)

@@ -159,12 +159,16 @@ class ExprGraph:
 
     # ------------------------------------------------------------- reductions
 
+    def _all_axes(self, a: NodeId) -> tuple[int, ...]:
+        # counted from the end, so a reduction leaves leading batch axes alone
+        return tuple(range(-len(self.shape_of(a)), 0))
+
     def sum_all(self, a: NodeId) -> NodeId:
-        return self._append("sum_all", (a,), ())
+        return self._append("sum_all", (a,), (), params=(self._all_axes(a),))
 
     def max_all(self, a: NodeId) -> NodeId:
         # no derivative rule on purpose; use behind stop_grad only
-        return self._append("max_all", (a,), ())
+        return self._append("max_all", (a,), (), params=(self._all_axes(a),))
 
     def fill(self, scalar: NodeId, shape: Iterable[int]) -> NodeId:
         if self.shape_of(scalar) != ():
@@ -180,7 +184,7 @@ class ExprGraph:
             raise ShapeError(
                 f"reshape: cannot view shape {self.shape_of(a)} as {dims}"
             )
-        return self._append("reshape", (a,), dims, params=(dims,))
+        return self._append("reshape", (a,), dims, params=(dims, len(self.shape_of(a))))
 
     # ----------------------------------------------------------- linear algebra
 
@@ -347,13 +351,7 @@ class ExprGraph:
             stack.extend(self._nodes[nid].inputs)
         return seen
 
-    def evaluator(self, outputs: Sequence[NodeId]):
-        """Compile an evaluation plan; returns bindings -> list of ndarrays.
-
-        The plan is the id-sorted ancestor set of the outputs, so shared
-        subexpressions are computed once per call. Plans are cached per
-        output tuple and stay valid as the graph grows.
-        """
+    def _plan(self, outputs: Sequence[NodeId]) -> tuple[tuple[NodeId, ...], list[NodeId]]:
         key = tuple(outputs)
         order = self._plans.get(key)
         if order is None:
@@ -362,35 +360,95 @@ class ExprGraph:
                     raise ContractError(f"evaluator: unknown node id {o}")
             order = sorted(self._ancestors(key))
             self._plans[key] = order
-        nodes = self._nodes
+        return key, order
 
-        def run(bindings: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-            vals: dict[NodeId, np.ndarray] = {}
-            for nid in order:
-                node = nodes[nid]
-                if node.op == "const":
-                    vals[nid] = node.payload
-                elif node.op == "var":
-                    name = node.params[0]
-                    try:
-                        v = bindings[name]
-                    except KeyError:
-                        raise ContractError(f"eval: no binding for variable {name!r}") from None
-                    arr = v.array if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
+    def _interpret(self, key: tuple[NodeId, ...], order: list[NodeId],
+                   bindings: Mapping[str, np.ndarray],
+                   stacks: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+        """Run a plan. Variables named in `stacks` take those already-checked
+        arrays; every other variable must be bound to exactly its shape."""
+        nodes = self._nodes
+        vals: dict[NodeId, np.ndarray] = {}
+        for nid in order:
+            node = nodes[nid]
+            if node.op == "const":
+                vals[nid] = node.payload
+            elif node.op == "var":
+                name = node.params[0]
+                arr = stacks.get(name)
+                if arr is None:
+                    arr = _bound(bindings, name)
                     if arr.shape != node.shape:
                         raise ShapeError(
                             f"eval: binding for {name!r} has shape {arr.shape}, "
                             f"variable expects {node.shape}"
                         )
-                    vals[nid] = arr
-                else:
-                    vals[nid] = _EVAL[node.op](node, [vals[i] for i in node.inputs])
-            return [vals[o] for o in key]
+                vals[nid] = arr
+            else:
+                vals[nid] = _EVAL[node.op](node, [vals[i] for i in node.inputs])
+        return [vals[o] for o in key]
+
+    def evaluator(self, outputs: Sequence[NodeId]):
+        """Compile an evaluation plan; returns bindings -> list of ndarrays.
+
+        The plan is the id-sorted ancestor set of the outputs, so shared
+        subexpressions are computed once per call. Plans are cached per
+        output tuple and stay valid as the graph grows.
+        """
+        key, order = self._plan(outputs)
+
+        def run(bindings: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+            return self._interpret(key, order, bindings, {})
+
+        return run
+
+    def batch_evaluator(self, outputs: Sequence[NodeId], over: Sequence[str]):
+        """Compile the same plan as `evaluator` for a stack of B points.
+
+        Each variable named in `over` is bound to an array of shape
+        (B,) + its own shape, with one B shared by all of them; every other
+        variable is bound to exactly its own shape. Each output comes back
+        with shape (B,) + its node shape, and entry b is what `evaluator`
+        returns when the `over` variables are bound to their b-th entries.
+        """
+        if not over:
+            raise ContractError("batch_evaluator: name at least one variable to batch over")
+        for name in over:
+            if name not in self._vars:
+                raise ContractError(f"batch_evaluator: {name!r} is not a variable of this graph")
+        over_shapes = [(name, self.shape_of(self._vars[name])) for name in over]
+        key, order = self._plan(outputs)
+        out_shapes = [self.shape_of(o) for o in key]
+
+        def run(bindings: Mapping[str, np.ndarray]) -> list[np.ndarray]:
+            stacks: dict[str, np.ndarray] = {}
+            size = None
+            for name, shape in over_shapes:
+                arr = _bound(bindings, name)
+                if arr.shape[1:] != shape or arr.ndim != len(shape) + 1 or (
+                        size is not None and arr.shape[0] != size):
+                    lead = "B" if size is None else size
+                    raise ShapeError(
+                        f"eval: batched binding for {name!r} has shape {arr.shape}, "
+                        f"expected ({lead},) + {shape}"
+                    )
+                size = arr.shape[0]
+                stacks[name] = arr
+            vals = self._interpret(key, order, bindings, stacks)
+            return [np.broadcast_to(v, (size,) + s) for v, s in zip(vals, out_shapes)]
 
         return run
 
     def eval(self, bindings: Mapping[str, np.ndarray], outputs: Sequence[NodeId]) -> list[Tensor]:
         return [Tensor(a) for a in self.evaluator(outputs)(bindings)]
+
+
+def _bound(bindings: Mapping[str, np.ndarray], name: str) -> np.ndarray:
+    try:
+        v = bindings[name]
+    except KeyError:
+        raise ContractError(f"eval: no binding for variable {name!r}") from None
+    return v.array if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
 
 
 # --------------------------------------------------------------------- grad
@@ -454,6 +512,8 @@ def meta_grad(graph: ExprGraph, wrt: Iterable[NodeId]) -> dict[NodeId, NodeId]:
 
 
 # ------------------------------------------------------------ eval registry
+# Rules reduce, broadcast and contract over the trailing node axes only, so
+# a value carrying leading batch axes evaluates as the stack of its entries.
 
 _EVAL.update({
     "add": lambda n, a: a[0] + a[1],
@@ -464,17 +524,18 @@ _EVAL.update({
     "exp": lambda n, a: np.exp(a[0]),
     "log": lambda n, a: np.log(a[0]),
     "reciprocal": lambda n, a: 1.0 / a[0],
-    "sigmoid": lambda n, a: _sigmoid_arr(a[0]),
+    "sigmoid": lambda n, a: k.sigmoid(a[0]),
     "relu": lambda n, a: np.maximum(a[0], 0.0),
     "step": lambda n, a: (a[0] > 0).astype(np.float64),
     "stop_grad": lambda n, a: a[0],
-    "sum_all": lambda n, a: np.asarray(a[0].sum()),
-    "max_all": lambda n, a: np.asarray(a[0].max()),
-    "fill": lambda n, a: np.full(n.params[0], float(a[0])),
-    "reshape": lambda n, a: a[0].reshape(n.params[0]),
-    "matvec": lambda n, a: a[0] @ a[1],
-    "matvec_t": lambda n, a: a[0].T @ a[1],
-    "outer": lambda n, a: np.outer(a[0], a[1]),
+    "sum_all": lambda n, a: np.asarray(a[0].sum(axis=n.params[0])),
+    "max_all": lambda n, a: np.asarray(a[0].max(axis=n.params[0])),
+    "fill": lambda n, a: np.broadcast_to(
+        a[0].reshape(a[0].shape + (1,) * len(n.params[0])), a[0].shape + n.params[0]).copy(),
+    "reshape": lambda n, a: a[0].reshape(a[0].shape[: a[0].ndim - n.params[1]] + n.params[0]),
+    "matvec": lambda n, a: np.matmul(a[0], a[1][..., None])[..., 0],
+    "matvec_t": lambda n, a: np.matmul(a[0].swapaxes(-1, -2), a[1][..., None])[..., 0],
+    "outer": lambda n, a: a[0][..., :, None] * a[1][..., None, :],
     "pad2d": lambda n, a: k.pad2d(a[0], n.params[0]),
     "crop2d": lambda n, a: k.crop2d(a[0], n.params[0]),
     "corr2d": lambda n, a: k.corr2d(a[0], a[1]),
@@ -485,15 +546,6 @@ _EVAL.update({
     "avg_pool2d": lambda n, a: k.avg_pool(a[0], *n.params),
     "avg_unpool2d": lambda n, a: k.avg_unpool(a[0], *n.params),
 })
-
-
-def _sigmoid_arr(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
 
 
 # ------------------------------------------------------------- VJP registry

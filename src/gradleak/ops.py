@@ -87,13 +87,7 @@ def avg_pool2d(input, window: int, stride: int) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     """Element-wise 1/(1 + exp(-x)); saturates but never leaves (0, 1)."""
-    v = as_array(x)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return Tensor(out)
+    return Tensor(k.sigmoid(as_array(x)))
 
 
 def softmax(logits) -> Tensor:

@@ -31,6 +31,12 @@ from gradleak import (
     serialize_bundle,
     victim_gradient,
 )
+from gradleak.attack import (
+    _GN_FD_STEP,
+    VARIANTS,
+    _build_attack_graph,
+    _GaussNewtonStepper,
+)
 from gradleak.models import Dense, Flatten
 from oracles import rel_err
 
@@ -287,6 +293,33 @@ class TestDlgAttack:
         sample, trace = dlg_attack(spec, params, bundle, cfg, truth=x)
         assert trace.records[-1].mse_255 < 1.0
         assert int(np.argmax(sample.y_virtual.array)) == 0
+
+
+class TestGaussNewtonJacobian:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_blocked_jacobian_matches_column_loop(self, variant):
+        # the demo spec, image and label, at the demo's seeded starting point
+        spec, params, _, bundle = _victim_setup(7, h=16, w=16, label=1)
+        cfg = AttackConfig(optimizer="gauss_newton", variant=variant)
+        stepper = _GaussNewtonStepper(_build_attack_graph(spec, params, bundle, cfg), cfg,
+                                      {n: t.array for n, t in params.flat()}, bundle)
+        rng = SeedRng(7 + 1000003)
+        x = rng.normal_array(spec.input_shape)
+        y = rng.normal_array((spec.classes,))
+        z = np.concatenate([x.ravel(), y])
+        r = stepper._residuals(x, y)
+
+        want = np.empty((r.size, z.size))
+        for i in range(z.size):
+            zp = z.copy()
+            zp[i] += _GN_FD_STEP
+            rp = stepper._residuals(zp[: x.size].reshape(x.shape), zp[x.size:])
+            want[:, i] = (rp - r) / _GN_FD_STEP
+
+        got = stepper._jacobian(z, r)
+        assert got.shape == want.shape
+        assert np.abs(want).max() > 1e-2
+        assert np.abs(got - want).max() <= 1e-8
 
 
 class TestImprovedVariant:

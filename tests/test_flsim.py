@@ -210,6 +210,15 @@ class TestBundleFormat:
         with pytest.raises(ParseError, match="overflow"):
             deserialize_bundle(bytes(blob))
 
+    def test_non_finite_payload_names_its_byte_offset(self):
+        blob = serialize_bundle(_toy_bundle([("x", [1.0]), ("y", [2.0, 3.25, 4.0])]))
+        at = blob.index(np.float64(3.25).tobytes())
+        for bad in (np.nan, np.inf, -np.inf):
+            hacked = blob[:at] + np.float64(bad).tobytes() + blob[at + 8:]
+            with pytest.raises(ParseError, match="non-finite") as err:
+                deserialize_bundle(hacked)
+            assert err.value.offset == at
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_bundles_round_trip(self, data):

@@ -2,14 +2,27 @@ import numpy as np
 import pytest
 
 from gradleak import (
+    Activation,
+    AttackConfig,
     CapabilityError,
     ContractError,
+    Conv,
+    Dense,
     ExprGraph,
+    Flatten,
+    ModelSpec,
+    Pool,
     SeedRng,
     ShapeError,
+    Tensor,
+    build_model,
+    default_attack_spec,
     grad,
     meta_grad,
+    one_hot,
+    victim_gradient,
 )
+from gradleak.attack import _build_attack_graph
 from oracles import fd_gradient, rel_err
 
 
@@ -386,3 +399,68 @@ def test_build_time_shape_errors():
     k = g.variable("k", (3, 3, 2, 1))
     with pytest.raises(ShapeError, match="channels"):
         g.corr2d(c, k)
+
+
+RESIDUAL_SPECS = {
+    "demo": default_attack_spec(16, 16, 1, 2),
+    "strided_relu_mlp": ModelSpec(
+        input_shape=(9, 9, 2),
+        layers=(
+            Conv(kernel=3, out_channels=3, stride=2, padding=1),
+            Activation("relu"),
+            Pool(window=3, stride=1),
+            Flatten(),
+            Dense(out_dim=4, biased=True),
+            Activation("sigmoid"),
+            Dense(out_dim=3, biased=True),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_SPECS))
+def test_batched_residual_plan_is_stack_of_single_evaluations(name):
+    # every node the GN residual plan evaluates, each rule on (B, ...) inputs
+    spec = RESIDUAL_SPECS[name]
+    rng = SeedRng(17)
+    params = build_model(spec, rng)
+    truth = Tensor(_rand(rng, spec.input_shape) * 0.5 + 0.5)
+    bundle = victim_gradient(params, truth, one_hot(1, spec.classes))
+    ag = _build_attack_graph(spec, params, bundle, AttackConfig())
+    nodes = sorted(ag.graph._ancestors([node for _, node in ag.virtual_nodes]))
+    ops = {ag.graph.op_of(n) for n in nodes}
+    assert {"sum_all", "max_all", "fill", "reshape", "matvec", "matvec_t", "outer"} <= ops
+
+    xs = _rand(rng, (5,) + spec.input_shape)
+    ys = _rand(rng, (5, spec.classes), scale=3.0)
+    bindings = {n: t.array for n, t in params.flat()}
+    batched = ag.graph.batch_evaluator(nodes, over=("x", "y"))({**bindings, "x": xs, "y": ys})
+    single = ag.graph.evaluator(nodes)
+    per_point = [single({**bindings, "x": x, "y": y}) for x, y in zip(xs, ys)]
+    for j, nid in enumerate(nodes):
+        want = np.stack([values[j] for values in per_point])
+        assert np.array_equal(batched[j], want), f"node {nid} ({ag.graph.op_of(nid)})"
+
+
+def test_batch_evaluator_checks_the_leading_axis():
+    g = ExprGraph()
+    x = g.variable("x", (3, 2))
+    y = g.variable("y", (2,))
+    w = g.variable("w", (2,))
+    out = g.add(g.sum_all(x), g.sum_all(g.mul(y, w)))
+    run = g.batch_evaluator([out], over=("x", "y"))
+    rng = SeedRng(8)
+    xs, ys, w0 = _rand(rng, (4, 3, 2)), _rand(rng, (4, 2)), _rand(rng, (2,))
+    (got,) = run({"x": xs, "y": ys, "w": w0})
+    single = g.evaluator([out])
+    assert got.shape == (4,)
+    assert got.tolist() == [float(single({"x": a, "y": b, "w": w0})[0]) for a, b in zip(xs, ys)]
+
+    for bad in ({"x": xs[0], "y": ys, "w": w0},           # no leading axis
+                {"x": xs, "y": ys[:3], "w": w0},          # mismatched B
+                {"x": xs.reshape(4, 2, 3), "y": ys, "w": w0},
+                {"x": xs, "y": ys, "w": ys}):              # batch on a fixed variable
+        with pytest.raises(ShapeError):
+            run(bad)
+    with pytest.raises(ContractError):
+        g.batch_evaluator([out], over=("z",))

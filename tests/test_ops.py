@@ -123,6 +123,9 @@ class TestAvgPool:
         x = _rand(rng, (6, 8, 3))
         got = avg_pool2d(x, window=2, stride=2).array
         assert np.allclose(got, loop_avg_pool(x, 2, 2), rtol=0, atol=1e-15)
+        x = _rand(rng, (7, 9, 3))  # overlapping windows
+        got = avg_pool2d(x, window=3, stride=2).array
+        assert np.allclose(got, loop_avg_pool(x, 3, 2), rtol=0, atol=1e-15)
 
     def test_bad_geometry(self):
         with pytest.raises(GeometryError):
