@@ -93,6 +93,9 @@ class AttackConfig:
             raise ContractError(
                 f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
             )
+        if self.halve_on_increase and self.optimizer == "gauss_newton":
+            raise ContractError("halve_on_increase applies to the gd optimizer only; "
+                                "gauss_newton controls its step by damping")
         if self.lambda_mean < 0:
             raise ContractError(f"lambda_mean must be >= 0, got {self.lambda_mean}")
         cps = tuple(int(c) for c in self.checkpoints)
@@ -271,7 +274,6 @@ class _AttackGraph:
     x: NodeId
     y: NodeId
     distance: NodeId
-    objective: NodeId
     virtual_nodes: tuple[tuple[str, NodeId], ...]  # bundle order
 
 
@@ -288,12 +290,11 @@ def _build_attack_graph(spec: ModelSpec, params: ModelParams, target: GradientBu
     loss_grads = grad(g, wrt=param_nodes.values())
     virtual = {name: loss_grads[node] for name, node in param_nodes.items()}
     distance = gradient_distance(g, virtual, target)
-    objective = distance
     if cfg.variant == "improved" and cfg.lambda_mean > 0:
-        objective = g.add(distance, mean_anchor_penalty(g, xv, cfg.lambda_mean))
-        g.set_output(objective)
+        # the objective that meta_grad differentiates
+        g.set_output(g.add(distance, mean_anchor_penalty(g, xv, cfg.lambda_mean)))
     ordered = tuple((name, virtual[name]) for name in target.names())
-    return _AttackGraph(g, xv, yv, distance, objective, ordered)
+    return _AttackGraph(g, xv, yv, distance, ordered)
 
 
 # each stepper's step(x, y) returns (distance at the incoming point,
@@ -304,19 +305,14 @@ class _GdStepper:
     """Fixed-step descent on the objective's gradient w.r.t. (x, y), with an
     optional halve-on-increase guard for stiff cases."""
 
-    def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings):
+    def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings, distance_at):
         meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
         self._eval = ag.graph.evaluator([ag.distance, meta[ag.x], meta[ag.y]])
-        self._dist_eval = ag.graph.evaluator([ag.distance])
+        self._distance_at = distance_at
         self._bindings = bindings
         self._cfg = cfg
         self._eta = cfg.eta
         self.step_events = 0
-
-    def _distance_at(self, x, y) -> float:
-        self._bindings["x"] = x
-        self._bindings["y"] = y
-        return float(self._dist_eval(self._bindings)[0])
 
     def step(self, x, y):
         self._bindings["x"] = x
@@ -343,23 +339,24 @@ class _GdStepper:
 class _GaussNewtonStepper:
     """Damped least-squares steps on the stacked gradient residuals.
 
-    The residual vector is the flattened virtual-minus-true gradient (plus
-    the mean-anchor rows for the improved variant); its Jacobian w.r.t.
-    (x, y) comes from forward differences, evaluated for a block of
-    perturbed points per call of the residual plan. Each iteration solves
+    The point is z = (pixels, logits). The residual vector is the flattened
+    virtual-minus-true gradient (plus the mean-anchor rows for the improved
+    variant); its Jacobian, kept transposed with one row per coordinate of z,
+    comes from forward differences evaluated for a block of perturbed points
+    per call of the residual plan. Each iteration solves
     (J^T J + mu I) delta = -J^T r and scales the step by eta; mu shrinks on
-    success and grows on rejection. Once the distance falls below the freeze
-    threshold further steps are numerical noise and the point is held.
+    success and grows on rejection. Once the distance falls to the freeze
+    threshold the point is held and nothing is evaluated again.
     """
 
     def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings,
                  target: GradientBundle):
         grads = [node for _, node in ag.virtual_nodes]
-        self._resid_eval = ag.graph.evaluator(grads)
-        self._block_eval = ag.graph.batch_evaluator(grads, over=("x", "y"))
+        self._point_eval = ag.graph.evaluator(grads)
+        self._stack_eval = ag.graph.batch_evaluator(grads, over=("x", "y"))
         self._targets = np.concatenate([t.array.ravel() for _, t in target.tensors])
         self._bindings = bindings
-        self._cfg = cfg
+        self._eta = cfg.eta
         self._shape = ag.graph.shape_of(ag.x)
         self._pixels = int(np.prod(self._shape))
         self._anchor_weight = None
@@ -367,78 +364,69 @@ class _GaussNewtonStepper:
             self._anchor_weight = np.sqrt(cfg.lambda_mean / self._pixels)
         self.step_events = 0
         self._mu: float | None = None  # seeded from the first Gram diagonal
-        self._frozen = False
+        self._held: tuple | None = None  # step's result once frozen
 
-    def _stack_rows(self, grads, flat_x) -> np.ndarray:
-        """Residual rows from the plan's gradient outputs. Everything before
-        the last axis of `flat_x` (the flattened image) is a batch prefix."""
-        lead = flat_x.shape[:-1]
+    def _rows(self, z) -> np.ndarray:
+        """Residual rows at the point z, or at each point of a (B, n) stack."""
+        lead = z.shape[:-1]
+        flat_x = z[..., : self._pixels]
+        self._bindings["x"] = flat_x.reshape(lead + self._shape)
+        self._bindings["y"] = z[..., self._pixels:]
+        grads = (self._stack_eval if lead else self._point_eval)(self._bindings)
         r = np.concatenate([a.reshape(lead + (-1,)) for a in grads], axis=-1) - self._targets
         if self._anchor_weight is not None:
             centered = flat_x - flat_x.mean(axis=-1, keepdims=True)
             r = np.concatenate([r, self._anchor_weight * centered], axis=-1)
         return r
 
-    def _residuals(self, x, y) -> np.ndarray:
-        self._bindings["x"] = x
-        self._bindings["y"] = y
-        return self._stack_rows(self._resid_eval(self._bindings), x.ravel())
-
-    def _jacobian(self, z, r) -> np.ndarray:
-        """Forward differences, one column per coordinate of z, computed
-        _GN_JAC_BLOCK perturbed points at a time."""
+    def _jacobian_t(self, z, r) -> np.ndarray:
+        """Forward-difference Jacobian, transposed: row i is dr/dz_i. The rows
+        are filled _GN_JAC_BLOCK perturbed points at a time."""
         n = z.size
-        jac = np.empty((r.size, n))
+        jt = np.empty((n, r.size))
         for s in range(0, n, _GN_JAC_BLOCK):
-            cols = np.arange(s, min(s + _GN_JAC_BLOCK, n))
-            zp = np.repeat(z[None, :], cols.size, axis=0)
-            zp[np.arange(cols.size), cols] += _GN_FD_STEP
-            flat_x = zp[:, : self._pixels]
-            self._bindings["x"] = flat_x.reshape((cols.size,) + self._shape)
-            self._bindings["y"] = zp[:, self._pixels:]
-            rp = self._stack_rows(self._block_eval(self._bindings), flat_x)
-            jac[:, s : s + cols.size] = ((rp - r) / _GN_FD_STEP).T
-        return jac
+            idx = np.arange(min(_GN_JAC_BLOCK, n - s))
+            zp = np.repeat(z[None, :], idx.size, axis=0)
+            zp[idx, s + idx] += _GN_FD_STEP
+            jt[s : s + idx.size] = (self._rows(zp) - r) / _GN_FD_STEP
+        return jt
 
     def step(self, x, y):
+        if self._held is not None:
+            return self._held
         z = np.concatenate([x.ravel(), y])
-        r = self._residuals(x, y)
+        r = self._rows(z)
         # distance excludes the penalty rows: it is the pure gradient gap
         core = len(self._targets)
         dist = float(r[:core] @ r[:core])
+        if dist <= _GN_FREEZE_DISTANCE:
+            self._held = (dist, x, y, dist)
+            return self._held
 
-        if self._frozen or dist <= _GN_FREEZE_DISTANCE:
-            self._frozen = True
-            return dist, x, y, dist
-
-        n = z.size
-        jac = self._jacobian(z, r)
-        gram = jac.T @ jac
-        rhs = -(jac.T @ r)
+        jt = self._jacobian_t(z, r)
+        gram = jt @ jt.T
+        rhs = -(jt @ r)
         if self._mu is None:
             self._mu = _GN_DAMPING_SEED * max(float(gram.diagonal().max()), 1e-30)
         sq = float(r @ r)
-        eye = np.eye(n)
+        eye = np.eye(z.size)
         new_z, new_sq = z, dist
         for _ in range(_GN_MAX_REJECTS_PER_STEP):
             delta = np.linalg.solve(gram + self._mu * eye, rhs)
-            step = self._cfg.eta * delta
+            step = self._eta * delta
             if np.abs(step).max() > _GN_STEP_CAP:
                 self._mu *= 10.0
                 self.step_events += 1
                 continue
             cand = z + step
-            rc = self._residuals(cand[: self._pixels].reshape(self._shape),
-                                 cand[self._pixels:])
+            rc = self._rows(cand)
             if np.isfinite(rc).all() and float(rc @ rc) < sq:
                 new_z, new_sq = cand, float(rc[:core] @ rc[:core])
                 self._mu = max(self._mu / 3.0, _GN_DAMPING_MIN)
                 break
             self._mu *= 10.0
             self.step_events += 1
-        new_x = new_z[: self._pixels].reshape(self._shape)
-        new_y = new_z[self._pixels:]
-        return dist, new_x, new_y, new_sq
+        return dist, new_z[: self._pixels].reshape(self._shape), new_z[self._pixels:], new_sq
 
 
 def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
@@ -462,16 +450,17 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
 
     ag = _build_attack_graph(spec, params, target, cfg)
     bindings = {name: t.array for name, t in params.flat()}
-    if cfg.optimizer == "gd":
-        stepper = _GdStepper(ag, cfg, bindings)
-    else:
-        stepper = _GaussNewtonStepper(ag, cfg, bindings, target)
     dist_eval = ag.graph.evaluator([ag.distance])
 
     def distance_at(px, py) -> float:
         bindings["x"] = px
         bindings["y"] = py
         return float(dist_eval(bindings)[0])
+
+    if cfg.optimizer == "gd":
+        stepper = _GdStepper(ag, cfg, bindings, distance_at)
+    else:
+        stepper = _GaussNewtonStepper(ag, cfg, bindings, target)
 
     records: list[TraceRecord] = []
     checkpoints = set(cfg.checkpoints)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .attack import (
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .flsim import read_bundle, victim_gradient, write_bundle
 from .metrics import ImagePair, convergence_report, mse_255, report_kv
-from .models import build_model, default_attack_spec, one_hot, parse_model_text
+from .models import ModelSpec, build_model, default_attack_spec, one_hot, parse_model_text
 from .netpbm import ImageBuffer, image_extension, read_image, synth_image, write_image
 from .tensor import SeedRng, Tensor
 
@@ -168,16 +167,20 @@ def _cmd_attack(args) -> int:
             print(f"final mse_255: {_format_float(final.mse_255)}")
         return 0
 
-    def one(seed: int):
-        return _run_attack_once(spec, params, bundle, config_for(seed), truth,
-                                out_root / f"seed_{seed}")
-
+    runs = [(spec, params, bundle, config_for(seed), truth, out_root / f"seed_{seed}")
+            for seed in seeds]
     if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(one, seeds))
+        # independent seeds: threads would serialize on the GIL over these small
+        # arrays, and forking a process that holds BLAS threads is unsafe
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(runs)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            list(pool.map(_run_attack_once, *zip(*runs)))
     else:
-        for seed in seeds:
-            one(seed)
+        for run in runs:
+            _run_attack_once(*run)
     print(f"ran {len(seeds)} attacks under {out_root}")
     return 0
 
@@ -274,11 +277,11 @@ def build_parser() -> _Parser:
     p.add_argument("--no-clamp", action="store_true",
                    help="leave recovered pixels unclamped in the returned sample")
     p.add_argument("--halve-on-increase", action="store_true",
-                   help="halve the step size whenever a step increases the distance")
+                   help="halve the step size whenever a step increases the distance (gd only)")
     p.add_argument("--optimizer", choices=("gd", "gauss-newton"), default="gd",
                    help="update rule: fixed-step descent or damped least squares")
     p.add_argument("--jobs", type=int, default=1,
-                   help="run multiple seeds in parallel")
+                   help="run multiple seeds in parallel worker processes")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_attack)
 

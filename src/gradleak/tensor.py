@@ -48,10 +48,6 @@ class Tensor:
     def zeros(cls, shape: Iterable[int]) -> "Tensor":
         return cls(np.zeros(_normalize_shape(shape)))
 
-    @classmethod
-    def full(cls, shape: Iterable[int], value: float) -> "Tensor":
-        return cls(np.full(_normalize_shape(shape), float(value)))
-
     @property
     def array(self) -> np.ndarray:
         """Read-only ndarray view of the underlying buffer."""
@@ -80,11 +76,6 @@ class Tensor:
     def reshape(self, shape: Iterable[int]) -> "Tensor":
         return Tensor(self._arr, shape=shape)
 
-    def allclose(self, other: "Tensor", rtol: float = 1e-9, atol: float = 0.0) -> bool:
-        return self.shape == other.shape and bool(
-            np.allclose(self._arr, other._arr, rtol=rtol, atol=atol)
-        )
-
     def __eq__(self, other) -> bool:
         """Exact equality: same shape and bit-identical values."""
         if not isinstance(other, Tensor):
@@ -92,6 +83,10 @@ class Tensor:
         return self.shape == other.shape and self._arr.tobytes() == other._arr.tobytes()
 
     __hash__ = None  # mutable-looking value semantics; not a dict key
+
+    def __reduce__(self):
+        # rebuild through __init__ so an unpickled buffer is read-only again
+        return (Tensor, (self._arr,))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self._arr.tolist()!r})"
@@ -141,13 +136,7 @@ class SeedRng:
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def uniforms(self, n: int) -> list[float]:
-        return [self.uniform() for _ in range(n)]
-
     def normal_array(self, shape: Sequence[int]) -> np.ndarray:
         dims = _normalize_shape(shape)
         flat = [self.normal() for _ in range(math.prod(dims))]
         return np.array(flat, dtype=np.float64).reshape(dims)
-
-    def normal_tensor(self, shape: Sequence[int]) -> Tensor:
-        return Tensor(self.normal_array(shape))

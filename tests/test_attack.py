@@ -33,6 +33,7 @@ from gradleak import (
 )
 from gradleak.attack import (
     _GN_FD_STEP,
+    _GN_FREEZE_DISTANCE,
     VARIANTS,
     _build_attack_graph,
     _GaussNewtonStepper,
@@ -185,6 +186,11 @@ class TestAttackConfig:
         with pytest.raises(ContractError):
             AttackConfig(optimizer="newton", iterations=10, checkpoints=(10,))
 
+    def test_halve_on_increase_is_gd_only(self):
+        with pytest.raises(ContractError, match="halve_on_increase"):
+            AttackConfig(optimizer="gauss_newton", halve_on_increase=True)
+        assert AttackConfig(optimizer="gd", halve_on_increase=True).halve_on_increase
+
 
 def _victim_setup(seed, h=12, w=12, m=2, label=0, kind="blocks"):
     from gradleak import synth_image
@@ -307,19 +313,42 @@ class TestGaussNewtonJacobian:
         x = rng.normal_array(spec.input_shape)
         y = rng.normal_array((spec.classes,))
         z = np.concatenate([x.ravel(), y])
-        r = stepper._residuals(x, y)
+        r = stepper._rows(z)
 
         want = np.empty((r.size, z.size))
         for i in range(z.size):
             zp = z.copy()
             zp[i] += _GN_FD_STEP
-            rp = stepper._residuals(zp[: x.size].reshape(x.shape), zp[x.size:])
-            want[:, i] = (rp - r) / _GN_FD_STEP
+            want[:, i] = (stepper._rows(zp) - r) / _GN_FD_STEP
 
-        got = stepper._jacobian(z, r)
-        assert got.shape == want.shape
+        got = stepper._jacobian_t(z, r)
+        assert got.shape == want.T.shape
         assert np.abs(want).max() > 1e-2
-        assert np.abs(got - want).max() <= 1e-8
+        assert np.abs(got - want.T).max() <= 1e-8
+
+    def test_frozen_stepper_holds_its_point_without_evaluating(self):
+        # the bundle is the gradient at the virtual point itself, so the
+        # first step finds the distance at or below the freeze threshold
+        spec, params, _, _ = _victim_setup(7, h=16, w=16, label=1)
+        rng = SeedRng(11)
+        x = rng.normal_array(spec.input_shape)
+        y = rng.normal_array((spec.classes,))
+        soft = np.exp(y - y.max())
+        bundle = victim_gradient(params, Tensor(x), Tensor(soft / soft.sum()))
+        cfg = AttackConfig(optimizer="gauss_newton")
+        stepper = _GaussNewtonStepper(_build_attack_graph(spec, params, bundle, cfg), cfg,
+                                      {n: t.array for n, t in params.flat()}, bundle)
+        dist, hx, hy, new_dist = stepper.step(x, y)
+        assert dist <= _GN_FREEZE_DISTANCE and new_dist == dist
+        assert hx is x and hy is y
+
+        def no_eval(bindings):
+            raise AssertionError("a frozen stepper evaluated the residual plan")
+
+        stepper._point_eval = stepper._stack_eval = no_eval
+        for _ in range(3):
+            d, hx, hy, nd = stepper.step(x + 1.0, y - 1.0)
+            assert (d, nd) == (dist, dist) and hx is x and hy is y
 
 
 class TestImprovedVariant:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ def test_tensor_is_immutable():
     t = Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
         t.array[0] = 9.0
+
+
+def test_tensor_stays_immutable_through_pickle():
+    # worker processes receive their tensors pickled
+    t = pickle.loads(pickle.dumps(Tensor([[1.0, 2.0]])))
+    assert t == Tensor([[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        t.array[0, 0] = 9.0
 
 
 def test_tensor_does_not_alias_source_array():
