@@ -45,7 +45,7 @@ from .flsim import (
     victim_gradient,
     write_bundle,
 )
-from .graph import ExprGraph, grad, meta_grad
+from .graph import ExprGraph, Stack, grad, meta_grad
 from .metrics import (
     ConvergenceReport,
     ImagePair,

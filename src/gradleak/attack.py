@@ -38,7 +38,7 @@ from .errors import (
     IncompatibilityError,
     ShapeError,
 )
-from .graph import ExprGraph, NodeId, grad, meta_grad
+from .graph import ExprGraph, NodeId, Stack, grad, meta_grad
 from .flsim import GradientBundle
 from .metrics import ImagePair, mse_255, mse_unit
 from .models import Dense, ModelParams, ModelSpec, build_logits
@@ -221,11 +221,11 @@ def fc_reconstruction_spread(grad_weight, grad_bias, *, tol: float = 1e-12) -> f
 
 
 def _unique_negative_entry(gb: np.ndarray) -> int:
-    """Index of the smallest bias-gradient entry, which must be strictly negative."""
-    idx = int(np.argmin(gb))
-    if gb[idx] >= 0:
-        raise AmbiguityError("no strictly negative bias-gradient entry; cannot infer label")
-    return idx
+    """Index of the one strictly negative bias-gradient entry."""
+    (neg,) = np.nonzero(gb < 0)
+    if neg.size != 1:
+        raise AmbiguityError(f"{neg.size} strictly negative bias-gradient entries; cannot infer label")
+    return int(neg[0])
 
 
 def label_from_gradient_sign(target: GradientBundle, spec: ModelSpec) -> int:
@@ -342,7 +342,7 @@ class _GaussNewtonStepper:
     The point is z = (pixels, logits). The residual vector is the flattened
     virtual-minus-true gradient (plus the mean-anchor rows for the improved
     variant); its Jacobian, kept transposed with one row per coordinate of z,
-    comes from forward differences evaluated for a block of perturbed points
+    comes from forward differences evaluated for a stack of perturbed points
     per call of the residual plan. Each iteration solves
     (J^T J + mu I) delta = -J^T r and scales the step by eta; mu shrinks on
     success and grows on rejection. Once the distance falls to the freeze
@@ -351,9 +351,7 @@ class _GaussNewtonStepper:
 
     def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings,
                  target: GradientBundle):
-        grads = [node for _, node in ag.virtual_nodes]
-        self._point_eval = ag.graph.evaluator(grads)
-        self._stack_eval = ag.graph.batch_evaluator(grads, over=("x", "y"))
+        self._eval = ag.graph.evaluator([node for _, node in ag.virtual_nodes])
         self._targets = np.concatenate([t.array.ravel() for _, t in target.tensors])
         self._bindings = bindings
         self._eta = cfg.eta
@@ -366,17 +364,16 @@ class _GaussNewtonStepper:
         self._mu: float | None = None  # seeded from the first Gram diagonal
         self._held: tuple | None = None  # step's result once frozen
 
-    def _rows(self, z) -> np.ndarray:
-        """Residual rows at the point z, or at each point of a (B, n) stack."""
-        lead = z.shape[:-1]
-        flat_x = z[..., : self._pixels]
-        self._bindings["x"] = flat_x.reshape(lead + self._shape)
-        self._bindings["y"] = z[..., self._pixels:]
-        grads = (self._stack_eval if lead else self._point_eval)(self._bindings)
-        r = np.concatenate([a.reshape(lead + (-1,)) for a in grads], axis=-1) - self._targets
+    def _rows(self, zs) -> np.ndarray:
+        """Residual rows at each point of a (B, n) stack, one row per point."""
+        flat_x = zs[:, : self._pixels]
+        self._bindings["x"] = Stack(flat_x.reshape((-1,) + self._shape))
+        self._bindings["y"] = Stack(zs[:, self._pixels:])
+        grads = self._eval(self._bindings)
+        r = np.concatenate([a.reshape(len(zs), -1) for a in grads], axis=1) - self._targets
         if self._anchor_weight is not None:
-            centered = flat_x - flat_x.mean(axis=-1, keepdims=True)
-            r = np.concatenate([r, self._anchor_weight * centered], axis=-1)
+            centered = flat_x - flat_x.mean(axis=1, keepdims=True)
+            r = np.concatenate([r, self._anchor_weight * centered], axis=1)
         return r
 
     def _jacobian_t(self, z, r) -> np.ndarray:
@@ -395,7 +392,7 @@ class _GaussNewtonStepper:
         if self._held is not None:
             return self._held
         z = np.concatenate([x.ravel(), y])
-        r = self._rows(z)
+        r = self._rows(z[None])[0]
         # distance excludes the penalty rows: it is the pure gradient gap
         core = len(self._targets)
         dist = float(r[:core] @ r[:core])
@@ -419,7 +416,7 @@ class _GaussNewtonStepper:
                 self.step_events += 1
                 continue
             cand = z + step
-            rc = self._rows(cand)
+            rc = self._rows(cand[None])[0]
             if np.isfinite(rc).all() and float(rc @ rc) < sq:
                 new_z, new_sq = cand, float(rc[:core] @ rc[:core])
                 self._mu = max(self._mu / 3.0, _GN_DAMPING_MIN)

@@ -148,6 +148,7 @@ def deserialize_bundle(data: bytes) -> GradientBundle:
     digest, client_id, round_index = r.unpack("<QII", "header")
     (count,) = r.unpack("<I", "tensor count")
     tensors = []
+    seen: set[str] = set()
     for _ in range(count):
         (name_len,) = r.unpack("<H", "name length")
         if name_len == 0:
@@ -158,6 +159,9 @@ def deserialize_bundle(data: bytes) -> GradientBundle:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError("tensor name is not valid UTF-8", name_at) from None
+        if name in seen:
+            raise ParseError(f"repeated tensor name {name!r}", name_at)
+        seen.add(name)
         (rank,) = r.unpack("B", "rank")
         dims = []
         for _ in range(rank):

@@ -54,7 +54,6 @@ class ExprGraph:
         self._nodes: list[_Node] = []
         self._vars: dict[str, NodeId] = {}
         self._output: NodeId | None = None
-        self._plans: dict[tuple[NodeId, ...], list[NodeId]] = {}
 
     # ------------------------------------------------------------------ basics
 
@@ -351,91 +350,53 @@ class ExprGraph:
             stack.extend(self._nodes[nid].inputs)
         return seen
 
-    def _plan(self, outputs: Sequence[NodeId]) -> tuple[tuple[NodeId, ...], list[NodeId]]:
-        key = tuple(outputs)
-        order = self._plans.get(key)
-        if order is None:
-            for o in key:
-                if not 0 <= o < len(self._nodes):
-                    raise ContractError(f"evaluator: unknown node id {o}")
-            order = sorted(self._ancestors(key))
-            self._plans[key] = order
-        return key, order
-
-    def _interpret(self, key: tuple[NodeId, ...], order: list[NodeId],
-                   bindings: Mapping[str, np.ndarray],
-                   stacks: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-        """Run a plan. Variables named in `stacks` take those already-checked
-        arrays; every other variable must be bound to exactly its shape."""
-        nodes = self._nodes
-        vals: dict[NodeId, np.ndarray] = {}
-        for nid in order:
-            node = nodes[nid]
-            if node.op == "const":
-                vals[nid] = node.payload
-            elif node.op == "var":
-                name = node.params[0]
-                arr = stacks.get(name)
-                if arr is None:
-                    arr = _bound(bindings, name)
-                    if arr.shape != node.shape:
-                        raise ShapeError(
-                            f"eval: binding for {name!r} has shape {arr.shape}, "
-                            f"variable expects {node.shape}"
-                        )
-                vals[nid] = arr
-            else:
-                vals[nid] = _EVAL[node.op](node, [vals[i] for i in node.inputs])
-        return [vals[o] for o in key]
-
     def evaluator(self, outputs: Sequence[NodeId]):
         """Compile an evaluation plan; returns bindings -> list of ndarrays.
 
         The plan is the id-sorted ancestor set of the outputs, so shared
-        subexpressions are computed once per call. Plans are cached per
-        output tuple and stay valid as the graph grows.
+        subexpressions are computed once per call, and it stays valid as the
+        graph grows. A variable is bound to an array of exactly its shape, or
+        to a `Stack` of B such points; all stacks in one call share B, and
+        then each output comes back with shape (B,) + its node shape, entry b
+        being the output at the b-th point of every stack.
         """
-        key, order = self._plan(outputs)
+        key = tuple(outputs)
+        for o in key:
+            if not 0 <= o < len(self._nodes):
+                raise ContractError(f"evaluator: unknown node id {o}")
+        order = sorted(self._ancestors(key))
+        nodes = self._nodes
 
-        def run(bindings: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-            return self._interpret(key, order, bindings, {})
-
-        return run
-
-    def batch_evaluator(self, outputs: Sequence[NodeId], over: Sequence[str]):
-        """Compile the same plan as `evaluator` for a stack of B points.
-
-        Each variable named in `over` is bound to an array of shape
-        (B,) + its own shape, with one B shared by all of them; every other
-        variable is bound to exactly its own shape. Each output comes back
-        with shape (B,) + its node shape, and entry b is what `evaluator`
-        returns when the `over` variables are bound to their b-th entries.
-        """
-        if not over:
-            raise ContractError("batch_evaluator: name at least one variable to batch over")
-        for name in over:
-            if name not in self._vars:
-                raise ContractError(f"batch_evaluator: {name!r} is not a variable of this graph")
-        over_shapes = [(name, self.shape_of(self._vars[name])) for name in over]
-        key, order = self._plan(outputs)
-        out_shapes = [self.shape_of(o) for o in key]
-
-        def run(bindings: Mapping[str, np.ndarray]) -> list[np.ndarray]:
-            stacks: dict[str, np.ndarray] = {}
+        def run(bindings: Mapping[str, np.ndarray | Stack]) -> list[np.ndarray]:
+            vals: dict[NodeId, np.ndarray] = {}
             size = None
-            for name, shape in over_shapes:
-                arr = _bound(bindings, name)
-                if arr.shape[1:] != shape or arr.ndim != len(shape) + 1 or (
-                        size is not None and arr.shape[0] != size):
-                    lead = "B" if size is None else size
-                    raise ShapeError(
-                        f"eval: batched binding for {name!r} has shape {arr.shape}, "
-                        f"expected ({lead},) + {shape}"
-                    )
-                size = arr.shape[0]
-                stacks[name] = arr
-            vals = self._interpret(key, order, bindings, stacks)
-            return [np.broadcast_to(v, (size,) + s) for v, s in zip(vals, out_shapes)]
+            for nid in order:
+                node = nodes[nid]
+                if node.op == "const":
+                    vals[nid] = node.payload
+                elif node.op == "var":
+                    name = node.params[0]
+                    arr = _bound(bindings, name)
+                    if isinstance(arr, Stack):
+                        arr = arr.points
+                        if arr.ndim != len(node.shape) + 1 or arr.shape[1:] != node.shape or (
+                                size not in (None, arr.shape[0])):
+                            raise ShapeError(
+                                f"eval: stack for {name!r} has shape {arr.shape}, expected "
+                                f"({'B' if size is None else size},) + {node.shape}"
+                            )
+                        size = arr.shape[0]
+                    elif arr.shape != node.shape:
+                        raise ShapeError(
+                            f"eval: binding for {name!r} has shape {arr.shape}, "
+                            f"variable expects {node.shape}"
+                        )
+                    vals[nid] = arr
+                else:
+                    vals[nid] = _EVAL[node.op](node, [vals[i] for i in node.inputs])
+            if size is None:
+                return [vals[o] for o in key]
+            return [np.broadcast_to(vals[o], (size,) + nodes[o].shape) for o in key]
 
         return run
 
@@ -443,11 +404,22 @@ class ExprGraph:
         return [Tensor(a) for a in self.evaluator(outputs)(bindings)]
 
 
-def _bound(bindings: Mapping[str, np.ndarray], name: str) -> np.ndarray:
+class Stack:
+    """B points of one variable, bound in its place for a single evaluation."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=np.float64)
+
+
+def _bound(bindings: Mapping[str, np.ndarray | Stack], name: str) -> np.ndarray | Stack:
     try:
         v = bindings[name]
     except KeyError:
         raise ContractError(f"eval: no binding for variable {name!r}") from None
+    if isinstance(v, Stack):
+        return v
     return v.array if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
 
 

@@ -88,6 +88,8 @@ class ModelSpec:
                     ow = conv_output_size(current[1], layer.kernel, layer.stride, layer.padding)
                 except GeometryError as e:
                     raise GeometryError(f"{name}: {e}") from None
+                if layer.out_channels < 1:
+                    raise ShapeError(f"{name}: out_channels {layer.out_channels} must be positive")
                 current = (oh, ow, layer.out_channels)
             elif isinstance(layer, Pool):
                 if len(current) != 3:
@@ -108,6 +110,8 @@ class ModelSpec:
                     raise ShapeError(
                         f"{name}: dense layer needs a flattened 1-D input, got {current}"
                     )
+                if layer.out_dim < 1:
+                    raise ShapeError(f"{name}: out_dim {layer.out_dim} must be positive")
                 current = (layer.out_dim,)
             else:
                 raise ContractError(f"{name}: unsupported layer {layer!r}")

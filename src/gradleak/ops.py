@@ -34,6 +34,9 @@ def affine(weight, x, bias) -> Tensor:
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Output extent of a sliding window: (size + 2*padding - kernel)/stride + 1."""
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise GeometryError(f"window {kernel} and stride {stride} must be positive and "
+                            f"padding {padding} non-negative")
     span = size + 2 * padding - kernel
     if span < 0:
         raise GeometryError(

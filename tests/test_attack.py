@@ -15,6 +15,7 @@ from gradleak import (
     SeedRng,
     Tensor,
     VirtualSample,
+    aggregate,
     build_model,
     bundle_sq_distance,
     default_attack_spec,
@@ -157,6 +158,18 @@ class TestLabelInference:
         spec = self._spec3()
         with pytest.raises(AmbiguityError):
             label_from_gradient_sign(self._bundle_for(spec, [0.1, 0.2, 0.3]), spec)
+
+    def test_mean_of_two_labelled_clients_is_ambiguous(self):
+        # bias gradients softmax - one_hot(0) and softmax - one_hot(1) average
+        # to two strictly negative entries
+        spec = default_attack_spec(12, 12, 1, 3)
+        params = build_model(spec, SeedRng(5))
+        x = _image(SeedRng(6), 12, 12)
+        mean = aggregate([victim_gradient(params, x, one_hot(label, 3)) for label in (0, 1)])
+        with pytest.raises(AmbiguityError, match="2 strictly negative"):
+            label_from_gradient_sign(mean, spec)
+        with pytest.raises(AmbiguityError, match="2 strictly negative"):
+            infer_label_from_bundle(mean)
 
     def test_matches_ground_truth_on_real_gradients(self):
         spec = default_attack_spec(12, 12, 1, 2)
@@ -313,13 +326,13 @@ class TestGaussNewtonJacobian:
         x = rng.normal_array(spec.input_shape)
         y = rng.normal_array((spec.classes,))
         z = np.concatenate([x.ravel(), y])
-        r = stepper._rows(z)
+        r = stepper._rows(z[None])[0]
 
         want = np.empty((r.size, z.size))
         for i in range(z.size):
             zp = z.copy()
             zp[i] += _GN_FD_STEP
-            want[:, i] = (stepper._rows(zp) - r) / _GN_FD_STEP
+            want[:, i] = (stepper._rows(zp[None])[0] - r) / _GN_FD_STEP
 
         got = stepper._jacobian_t(z, r)
         assert got.shape == want.T.shape
@@ -345,7 +358,7 @@ class TestGaussNewtonJacobian:
         def no_eval(bindings):
             raise AssertionError("a frozen stepper evaluated the residual plan")
 
-        stepper._point_eval = stepper._stack_eval = no_eval
+        stepper._eval = no_eval
         for _ in range(3):
             d, hx, hy, nd = stepper.step(x + 1.0, y - 1.0)
             assert (d, nd) == (dist, dist) and hx is x and hy is y

@@ -172,10 +172,14 @@ def test_corrupt_inputs_exit_2(tmp_path, capsys):
     assert cli_main(["eval", "--truth", str(bad_img), "--candidate", str(bad_img)]) == 2
 
     bad_model = tmp_path / "bad.txt"
-    bad_model.write_text("wibble\n")
-    assert cli_main(["victim-grad", "--model", str(bad_model),
-                     "--image", "synth:blocks:12x12x1:1", "--label", "0",
-                     "--seed", "1", "--out", str(tmp_path / "g.glkb")]) == 2
+    degenerate = ("input h=12 w=12 c=1\nconv k=3 out=2 stride=0 pad=0\n"
+                  "flatten\ndense out=2 bias=yes\n")
+    for text in ("wibble\n", degenerate):
+        bad_model.write_text(text)
+        assert cli_main(["victim-grad", "--model", str(bad_model),
+                         "--image", "synth:blocks:12x12x1:1", "--label", "0",
+                         "--seed", "1", "--out", str(tmp_path / "g.glkb")]) == 2
+    assert "stride 0" in capsys.readouterr().err
 
 
 def test_demo_runs_and_is_deterministic(tmp_path, capsys):

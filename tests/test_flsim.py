@@ -219,6 +219,13 @@ class TestBundleFormat:
                 deserialize_bundle(hacked)
             assert err.value.offset == at
 
+    def test_repeated_tensor_name_rejected_at_its_offset(self):
+        blob = serialize_bundle(_toy_bundle([("x", [1.0]), ("x", [2.0])]))
+        second = blob.index(b"x", blob.index(b"x") + 1)
+        with pytest.raises(ParseError, match="repeated tensor name 'x'") as err:
+            deserialize_bundle(blob)
+        assert err.value.offset == second
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_bundles_round_trip(self, data):

@@ -14,6 +14,7 @@ from gradleak import (
     Pool,
     SeedRng,
     ShapeError,
+    Stack,
     Tensor,
     build_model,
     default_attack_spec,
@@ -434,33 +435,33 @@ def test_batched_residual_plan_is_stack_of_single_evaluations(name):
     xs = _rand(rng, (5,) + spec.input_shape)
     ys = _rand(rng, (5, spec.classes), scale=3.0)
     bindings = {n: t.array for n, t in params.flat()}
-    batched = ag.graph.batch_evaluator(nodes, over=("x", "y"))({**bindings, "x": xs, "y": ys})
-    single = ag.graph.evaluator(nodes)
-    per_point = [single({**bindings, "x": x, "y": y}) for x, y in zip(xs, ys)]
+    run = ag.graph.evaluator(nodes)
+    batched = run({**bindings, "x": Stack(xs), "y": Stack(ys)})
+    per_point = [run({**bindings, "x": x, "y": y}) for x, y in zip(xs, ys)]
     for j, nid in enumerate(nodes):
         want = np.stack([values[j] for values in per_point])
         assert np.array_equal(batched[j], want), f"node {nid} ({ag.graph.op_of(nid)})"
 
 
-def test_batch_evaluator_checks_the_leading_axis():
+def test_stack_bindings_check_the_leading_axis():
     g = ExprGraph()
     x = g.variable("x", (3, 2))
     y = g.variable("y", (2,))
     w = g.variable("w", (2,))
     out = g.add(g.sum_all(x), g.sum_all(g.mul(y, w)))
-    run = g.batch_evaluator([out], over=("x", "y"))
+    run = g.evaluator([out])
     rng = SeedRng(8)
     xs, ys, w0 = _rand(rng, (4, 3, 2)), _rand(rng, (4, 2)), _rand(rng, (2,))
-    (got,) = run({"x": xs, "y": ys, "w": w0})
-    single = g.evaluator([out])
+    (got,) = run({"x": Stack(xs), "y": Stack(ys), "w": w0})
     assert got.shape == (4,)
-    assert got.tolist() == [float(single({"x": a, "y": b, "w": w0})[0]) for a, b in zip(xs, ys)]
+    assert got.tolist() == [float(run({"x": a, "y": b, "w": w0})[0]) for a, b in zip(xs, ys)]
+    # a plain binding is shared by every point of the stacks
+    (got,) = run({"x": Stack(xs), "y": ys[1], "w": w0})
+    assert got.tolist() == [float(run({"x": a, "y": ys[1], "w": w0})[0]) for a in xs]
 
-    for bad in ({"x": xs[0], "y": ys, "w": w0},           # no leading axis
-                {"x": xs, "y": ys[:3], "w": w0},          # mismatched B
-                {"x": xs.reshape(4, 2, 3), "y": ys, "w": w0},
-                {"x": xs, "y": ys, "w": ys}):              # batch on a fixed variable
+    for bad in ({"x": Stack(xs[0]), "y": Stack(ys), "w": w0},      # no leading axis
+                {"x": Stack(xs), "y": Stack(ys[:3]), "w": w0},     # mismatched B
+                {"x": Stack(xs.reshape(4, 2, 3)), "y": Stack(ys), "w": w0},
+                {"x": Stack(xs), "y": Stack(ys), "w": ys}):        # plain array of a stack's shape
         with pytest.raises(ShapeError):
             run(bad)
-    with pytest.raises(ContractError):
-        g.batch_evaluator([out], over=("z",))

@@ -140,6 +140,18 @@ dense out=2 bias=yes
     ("input h=8 w=8 c=1\nconv k=3 out=2 stride=1", "missing key"),
     ("input h=8 w=8 c=1\nwibble foo=1", "unknown layer kind"),
     ("input h=8 w=8 c=1\nflatten\ndense out=x bias=no", "not an integer"),
+    # degenerate geometry is rejected while parsing, not by a later crash
+    ("input h=8 w=8 c=1\nconv k=3 out=2 stride=0 pad=0\nflatten\ndense out=2 bias=yes",
+     "conv1: window 3 and stride 0"),
+    ("input h=8 w=8 c=1\npool window=0 stride=0\nflatten\ndense out=2 bias=yes",
+     "layer1: window 0 and stride 0"),
+    ("input h=8 w=8 c=1\nconv k=0 out=2 stride=1 pad=0\nflatten\ndense out=2 bias=yes",
+     "conv1: window 0"),
+    ("input h=8 w=8 c=1\nconv k=3 out=2 stride=1 pad=-1\nflatten\ndense out=2 bias=yes",
+     "conv1: .*padding -1"),
+    ("input h=8 w=8 c=1\nconv k=3 out=0 stride=1 pad=1\nflatten\ndense out=2 bias=yes",
+     "conv1: out_channels 0"),
+    ("input h=8 w=8 c=1\nflatten\ndense out=0 bias=yes", "fc1: out_dim 0"),
 ])
 def test_parse_errors(bad, fragment):
     with pytest.raises(ParseError, match=fragment):
