@@ -297,43 +297,44 @@ def _build_attack_graph(spec: ModelSpec, params: ModelParams, target: GradientBu
     return _AttackGraph(g, xv, yv, distance, ordered)
 
 
-# each stepper's step(x, y) returns (distance at the incoming point,
-# new x, new y, distance at the new point or None if not computed)
+# each stepper is built at the starting point and holds the current point
+# (`x`, `y`) and its `distance`; `step()` moves it once and returns the
+# distance at the point it left
 
 
 class _GdStepper:
     """Fixed-step descent on the objective's gradient w.r.t. (x, y), with an
-    optional halve-on-increase guard for stiff cases."""
+    optional halve-on-increase guard for stiff cases. One plan gives the
+    distance and both meta-gradients at every point the stepper moves to,
+    halving trials included."""
 
-    def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings, distance_at):
+    def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings, x, y):
         meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
         self._eval = ag.graph.evaluator([ag.distance, meta[ag.x], meta[ag.y]])
-        self._distance_at = distance_at
         self._bindings = bindings
-        self._cfg = cfg
+        self._halve = cfg.halve_on_increase
         self._eta = cfg.eta
         self.step_events = 0
+        self._move_to(x, y)
 
-    def step(self, x, y):
+    def _move_to(self, x, y) -> None:
+        self.x, self.y = x, y
         self._bindings["x"] = x
         self._bindings["y"] = y
-        dist_arr, gx, gy = self._eval(self._bindings)
-        dist = float(dist_arr)
-        new_x = x - self._eta * gx
-        new_y = y - self._eta * gy
-        new_dist = None
-        if self._cfg.halve_on_increase:
-            new_dist = self._distance_at(new_x, new_y)
-            tries = 0
-            while ((not np.isfinite(new_dist) or new_dist > dist)
-                   and tries < _MAX_HALVINGS_PER_STEP):
-                self._eta /= 2.0
-                self.step_events += 1
-                tries += 1
-                new_x = x - self._eta * gx
-                new_y = y - self._eta * gy
-                new_dist = self._distance_at(new_x, new_y)
-        return dist, new_x, new_y, new_dist
+        dist, self._gx, self._gy = self._eval(self._bindings)
+        self.distance = float(dist)
+
+    def step(self) -> float:
+        left, x, y, gx, gy = self.distance, self.x, self.y, self._gx, self._gy
+        self._move_to(x - self._eta * gx, y - self._eta * gy)
+        tries = 0
+        while (self._halve and (not np.isfinite(self.distance) or self.distance > left)
+               and tries < _MAX_HALVINGS_PER_STEP):
+            self._eta /= 2.0
+            self.step_events += 1
+            tries += 1
+            self._move_to(x - self._eta * gx, y - self._eta * gy)
+        return left
 
 
 class _GaussNewtonStepper:
@@ -341,16 +342,18 @@ class _GaussNewtonStepper:
 
     The point is z = (pixels, logits). The residual vector is the flattened
     virtual-minus-true gradient (plus the mean-anchor rows for the improved
-    variant); its Jacobian, kept transposed with one row per coordinate of z,
-    comes from forward differences evaluated for a stack of perturbed points
-    per call of the residual plan. Each iteration solves
+    variant); the stepper carries it from the accepted trial to the next
+    iteration. Its Jacobian, kept transposed with one row per coordinate of
+    z, comes from forward differences evaluated for a stack of perturbed
+    points per call of the residual plan. Each iteration solves
     (J^T J + mu I) delta = -J^T r and scales the step by eta; mu shrinks on
-    success and grows on rejection. Once the distance falls to the freeze
-    threshold the point is held and nothing is evaluated again.
+    success and grows on rejection. The point is held, and nothing is
+    evaluated again, once the distance falls to the freeze threshold or a
+    step rejects every damping it tries.
     """
 
     def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings,
-                 target: GradientBundle):
+                 target: GradientBundle, x, y):
         self._eval = ag.graph.evaluator([node for _, node in ag.virtual_nodes])
         self._targets = np.concatenate([t.array.ravel() for _, t in target.tensors])
         self._bindings = bindings
@@ -362,7 +365,17 @@ class _GaussNewtonStepper:
             self._anchor_weight = np.sqrt(cfg.lambda_mean / self._pixels)
         self.step_events = 0
         self._mu: float | None = None  # seeded from the first Gram diagonal
-        self._held: tuple | None = None  # step's result once frozen
+        z = np.concatenate([x.ravel(), y])
+        self._move_to(z, self._rows(z[None])[0])
+
+    def _move_to(self, z, r) -> None:
+        self._z, self._r = z, r
+        self.x = z[: self._pixels].reshape(self._shape)
+        self.y = z[self._pixels:]
+        # distance excludes the penalty rows: it is the pure gradient gap
+        core = r[: len(self._targets)]
+        self.distance = float(core @ core)
+        self._held = self.distance <= _GN_FREEZE_DISTANCE
 
     def _rows(self, zs) -> np.ndarray:
         """Residual rows at each point of a (B, n) stack, one row per point."""
@@ -388,18 +401,11 @@ class _GaussNewtonStepper:
             jt[s : s + idx.size] = (self._rows(zp) - r) / _GN_FD_STEP
         return jt
 
-    def step(self, x, y):
-        if self._held is not None:
-            return self._held
-        z = np.concatenate([x.ravel(), y])
-        r = self._rows(z[None])[0]
-        # distance excludes the penalty rows: it is the pure gradient gap
-        core = len(self._targets)
-        dist = float(r[:core] @ r[:core])
-        if dist <= _GN_FREEZE_DISTANCE:
-            self._held = (dist, x, y, dist)
-            return self._held
-
+    def step(self) -> float:
+        left = self.distance
+        if self._held:
+            return left
+        z, r = self._z, self._r
         jt = self._jacobian_t(z, r)
         gram = jt @ jt.T
         rhs = -(jt @ r)
@@ -407,23 +413,19 @@ class _GaussNewtonStepper:
             self._mu = _GN_DAMPING_SEED * max(float(gram.diagonal().max()), 1e-30)
         sq = float(r @ r)
         eye = np.eye(z.size)
-        new_z, new_sq = z, dist
         for _ in range(_GN_MAX_REJECTS_PER_STEP):
-            delta = np.linalg.solve(gram + self._mu * eye, rhs)
-            step = self._eta * delta
-            if np.abs(step).max() > _GN_STEP_CAP:
-                self._mu *= 10.0
-                self.step_events += 1
-                continue
-            cand = z + step
-            rc = self._rows(cand[None])[0]
-            if np.isfinite(rc).all() and float(rc @ rc) < sq:
-                new_z, new_sq = cand, float(rc[:core] @ rc[:core])
-                self._mu = max(self._mu / 3.0, _GN_DAMPING_MIN)
-                break
+            step = self._eta * np.linalg.solve(gram + self._mu * eye, rhs)
+            if np.isfinite(step).all() and np.abs(step).max() <= _GN_STEP_CAP:
+                cand = z + step
+                rc = self._rows(cand[None])[0]
+                if np.isfinite(rc).all() and float(rc @ rc) < sq:
+                    self._mu = max(self._mu / 3.0, _GN_DAMPING_MIN)
+                    self._move_to(cand, rc)
+                    return left
             self._mu *= 10.0
             self.step_events += 1
-        return dist, new_z[: self._pixels].reshape(self._shape), new_z[self._pixels:], new_sq
+        self._held = True  # no damping moves the point
+        return left
 
 
 def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
@@ -447,28 +449,17 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
 
     ag = _build_attack_graph(spec, params, target, cfg)
     bindings = {name: t.array for name, t in params.flat()}
-    dist_eval = ag.graph.evaluator([ag.distance])
-
-    def distance_at(px, py) -> float:
-        bindings["x"] = px
-        bindings["y"] = py
-        return float(dist_eval(bindings)[0])
-
     if cfg.optimizer == "gd":
-        stepper = _GdStepper(ag, cfg, bindings, distance_at)
+        stepper = _GdStepper(ag, cfg, bindings, x, y)
     else:
-        stepper = _GaussNewtonStepper(ag, cfg, bindings, target)
+        stepper = _GaussNewtonStepper(ag, cfg, bindings, target, x, y)
 
     records: list[TraceRecord] = []
     checkpoints = set(cfg.checkpoints)
-    initial_distance: float | None = None
+    limit = _DIVERGENCE_FACTOR * max(stepper.distance, _DIVERGENCE_FLOOR)
 
     for i in range(1, cfg.iterations + 1):
-        dist, x, y, new_dist = stepper.step(x, y)
-
-        if initial_distance is None:
-            initial_distance = dist
-        limit = _DIVERGENCE_FACTOR * max(initial_distance, _DIVERGENCE_FLOOR)
+        dist = stepper.step()
         if not np.isfinite(dist) or dist > limit:
             raise DivergenceError(
                 f"gradient distance {dist} exceeded {limit} at iteration {i}",
@@ -476,21 +467,18 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
             )
 
         if i in checkpoints:
-            if new_dist is None:
-                new_dist = distance_at(x, y)
-            snapshot = Tensor(x)
+            snapshot = Tensor(stepper.x)
             if truth is not None:
                 pair = ImagePair(truth, snapshot)
                 rec_mse = mse_255(pair)
                 rec_raw = mse_unit(pair)
             else:
                 rec_mse = rec_raw = None
-            records.append(
-                TraceRecord(i, new_dist, rec_mse, rec_raw, snapshot, stepper.step_events)
-            )
+            records.append(TraceRecord(i, stepper.distance, rec_mse, rec_raw, snapshot,
+                                       stepper.step_events))
 
-    final_x = np.clip(x, 0.0, 1.0) if cfg.clamp_output else x
-    sample = VirtualSample(Tensor(final_x), Tensor(y))
+    final_x = np.clip(stepper.x, 0.0, 1.0) if cfg.clamp_output else stepper.x
+    sample = VirtualSample(Tensor(final_x), Tensor(stepper.y))
     return sample, AttackTrace(tuple(records))
 
 

@@ -154,7 +154,6 @@ def _cmd_attack(args) -> int:
             variant="improved" if args.improved else "baseline",
             lambda_mean=args.lam,
             checkpoints=checkpoints,
-            clamp_output=not args.no_clamp,
             halve_on_increase=args.halve_on_increase,
             optimizer=args.optimizer.replace("-", "_"),
         )
@@ -274,8 +273,6 @@ def build_parser() -> _Parser:
     p.add_argument("--truth", default=None,
                    help="ground-truth image; enables MSE columns and report.txt")
     p.add_argument("--checkpoints", default=None, help="comma-separated iteration list")
-    p.add_argument("--no-clamp", action="store_true",
-                   help="leave recovered pixels unclamped in the returned sample")
     p.add_argument("--halve-on-increase", action="store_true",
                    help="halve the step size whenever a step increases the distance (gd only)")
     p.add_argument("--optimizer", choices=("gd", "gauss-newton"), default="gd",

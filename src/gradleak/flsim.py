@@ -34,6 +34,13 @@ class GradientBundle:
     round_index: int
     tensors: tuple[tuple[str, Tensor], ...]
 
+    def __post_init__(self):
+        seen: set[str] = set()
+        for name in self.names():
+            if name in seen:
+                raise ContractError(f"GradientBundle: repeated tensor name {name!r}")
+            seen.add(name)
+
     def names(self) -> list[str]:
         return [name for name, _ in self.tensors]
 

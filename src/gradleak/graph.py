@@ -271,8 +271,6 @@ class ExprGraph:
 
     def avg_pool2d(self, a: NodeId, window: int, stride: int) -> NodeId:
         h, w, c = self._spatial("avg_pool2d", a)
-        if window < 1 or stride < 1:
-            raise GeometryError(f"avg_pool2d: bad window {window} or stride {stride}")
         oh = conv_output_size(h, window, stride, 0)
         ow = conv_output_size(w, window, stride, 0)
         return self._append("avg_pool2d", (a,), (oh, ow, c), params=(window, stride))

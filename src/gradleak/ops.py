@@ -66,8 +66,6 @@ def conv2d(input, kernel, stride: int = 1, zero_padding: int = 0, flip: bool = F
         raise ShapeError(
             f"conv2d: kernel expects {kr.shape[2]} input channels, input has {x.shape[2]}"
         )
-    if stride < 1 or zero_padding < 0:
-        raise GeometryError(f"conv2d: bad stride {stride} or padding {zero_padding}")
     conv_output_size(x.shape[0], kr.shape[0], stride, zero_padding)
     conv_output_size(x.shape[1], kr.shape[0], stride, zero_padding)
     if flip:
@@ -81,8 +79,6 @@ def avg_pool2d(input, window: int, stride: int) -> Tensor:
     x = as_array(input)
     if x.ndim != 3:
         raise ShapeError(f"avg_pool2d: input must be HxWxC, got shape {x.shape}")
-    if window < 1 or stride < 1:
-        raise GeometryError(f"avg_pool2d: bad window {window} or stride {stride}")
     conv_output_size(x.shape[0], window, stride, 0)
     conv_output_size(x.shape[1], window, stride, 0)
     return Tensor(k.avg_pool(x, window, stride))

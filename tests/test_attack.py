@@ -320,11 +320,11 @@ class TestGaussNewtonJacobian:
         # the demo spec, image and label, at the demo's seeded starting point
         spec, params, _, bundle = _victim_setup(7, h=16, w=16, label=1)
         cfg = AttackConfig(optimizer="gauss_newton", variant=variant)
-        stepper = _GaussNewtonStepper(_build_attack_graph(spec, params, bundle, cfg), cfg,
-                                      {n: t.array for n, t in params.flat()}, bundle)
         rng = SeedRng(7 + 1000003)
         x = rng.normal_array(spec.input_shape)
         y = rng.normal_array((spec.classes,))
+        stepper = _GaussNewtonStepper(_build_attack_graph(spec, params, bundle, cfg), cfg,
+                                      {n: t.array for n, t in params.flat()}, bundle, x, y)
         z = np.concatenate([x.ravel(), y])
         r = stepper._rows(z[None])[0]
 
@@ -341,7 +341,7 @@ class TestGaussNewtonJacobian:
 
     def test_frozen_stepper_holds_its_point_without_evaluating(self):
         # the bundle is the gradient at the virtual point itself, so the
-        # first step finds the distance at or below the freeze threshold
+        # stepper starts at or below the freeze threshold
         spec, params, _, _ = _victim_setup(7, h=16, w=16, label=1)
         rng = SeedRng(11)
         x = rng.normal_array(spec.input_shape)
@@ -350,18 +350,35 @@ class TestGaussNewtonJacobian:
         bundle = victim_gradient(params, Tensor(x), Tensor(soft / soft.sum()))
         cfg = AttackConfig(optimizer="gauss_newton")
         stepper = _GaussNewtonStepper(_build_attack_graph(spec, params, bundle, cfg), cfg,
-                                      {n: t.array for n, t in params.flat()}, bundle)
-        dist, hx, hy, new_dist = stepper.step(x, y)
-        assert dist <= _GN_FREEZE_DISTANCE and new_dist == dist
-        assert hx is x and hy is y
+                                      {n: t.array for n, t in params.flat()}, bundle, x, y)
+        dist, hx, hy = stepper.distance, stepper.x, stepper.y
+        assert dist <= _GN_FREEZE_DISTANCE
+        assert np.array_equal(hx, x) and np.array_equal(hy, y)
 
         def no_eval(bindings):
             raise AssertionError("a frozen stepper evaluated the residual plan")
 
         stepper._eval = no_eval
         for _ in range(3):
-            d, hx, hy, nd = stepper.step(x + 1.0, y - 1.0)
-            assert (d, nd) == (dist, dist) and hx is x and hy is y
+            assert stepper.step() == dist
+            assert stepper.distance == dist and stepper.x is hx and stepper.y is hy
+
+    def test_point_no_damping_moves_is_held(self):
+        # the mean-anchor rows keep the distance above the freeze threshold
+        # at this optimum, so every later step rejects all its dampings
+        from gradleak import synth_image
+
+        spec = default_attack_spec(12, 12, 1, 2)
+        params = build_model(spec, SeedRng(13))
+        x = synth_image("blocks", 12, 12, 1, 23).to_tensor()
+        bundle = victim_gradient(params, x, one_hot(1, 2))
+        cfg = AttackConfig(iterations=60, seed=3, checkpoints=(1, 20, 40, 60),
+                           optimizer="gauss_newton", variant="improved")
+        _, trace = improved_dlg(spec, params, bundle, cfg, truth=x)
+        held = trace.records[1:]
+        assert len({r.distance for r in held}) == 1
+        assert held[0].distance > _GN_FREEZE_DISTANCE
+        assert [r.step_events for r in held] == [held[0].step_events] * 3
 
 
 class TestImprovedVariant:

@@ -219,9 +219,15 @@ class TestBundleFormat:
                 deserialize_bundle(hacked)
             assert err.value.offset == at
 
+    def test_repeated_tensor_name_construction_rejected(self):
+        with pytest.raises(ContractError, match="repeated tensor name 'x'"):
+            _toy_bundle([("x", [1.0]), ("y", [3.0]), ("x", [2.0])])
+
     def test_repeated_tensor_name_rejected_at_its_offset(self):
-        blob = serialize_bundle(_toy_bundle([("x", [1.0]), ("x", [2.0])]))
-        second = blob.index(b"x", blob.index(b"x") + 1)
+        # a bundle cannot hold a repeated name, so rename "y" to "x" in the bytes
+        good = serialize_bundle(_toy_bundle([("x", [1.0]), ("y", [2.0])]))
+        second = good.index(b"y")
+        blob = good[:second] + b"x" + good[second + 1:]
         with pytest.raises(ParseError, match="repeated tensor name 'x'") as err:
             deserialize_bundle(blob)
         assert err.value.offset == second

@@ -35,14 +35,24 @@ def _load_tracer():
     return module
 
 
-def test_tracer_installs_counts_stacked_evaluations_and_restores():
+def test_tracer_installs_counts_stacked_evaluations_and_restores(monkeypatch):
     tracer = _load_tracer().Tracer()
     spec = default_attack_spec(12, 12, 1, 2)
     params = build_model(spec, SeedRng(3))
     x = synth_image("blocks", 12, 12, 1, 3).to_tensor()
     bundle = victim_gradient(params, x, one_hot(1, 2))
     cfg = AttackConfig(iterations=2, seed=4, checkpoints=(2,), optimizer="gauss_newton")
-    want, want_trace = dlg_attack(spec, params, bundle, cfg)
+    stepper = gradleak.attack._GaussNewtonStepper
+    rows = stepper._rows
+    row_calls = []
+
+    def counted_rows(self, zs):
+        row_calls.append(len(zs))
+        return rows(self, zs)
+
+    with monkeypatch.context() as m:
+        m.setattr(stepper, "_rows", counted_rows)
+        want, want_trace = dlg_attack(spec, params, bundle, cfg)
     before_solve = np.linalg.solve
     before_evaluator = ExprGraph.evaluator
     before_attack = gradleak.attack.dlg_attack
@@ -65,8 +75,9 @@ def test_tracer_installs_counts_stacked_evaluations_and_restores():
     assert np.array_equal(got.x_virtual.array, want.x_virtual.array)
     assert got_trace.distances() == want_trace.distances()
     names = [tracer.names[i] for i in tracer.span_name]
-    # every residual-plan call is seen: per iteration one base point and one
-    # stack per Jacobian block, plus at least one trial point
+    # every residual-plan call is seen: the starting point, then per iteration
+    # one stack per Jacobian block and at least one trial point
     blocks = math.ceil((math.prod(spec.input_shape) + spec.classes) / 16)
-    assert names.count("graph.eval.resid") >= cfg.iterations * (2 + blocks)
+    assert len(row_calls) >= 1 + cfg.iterations * (1 + blocks)
+    assert names.count("graph.eval.resid") == len(row_calls)
     assert tracer.counts[0]["attack.gn.trial_steps"] >= cfg.iterations
