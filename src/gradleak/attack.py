@@ -61,6 +61,7 @@ _GN_MAX_REJECTS_PER_STEP = 25
 _GN_STEP_CAP = 10.0          # reject steps larger than this per coordinate
 _GN_FREEZE_DISTANCE = 1e-14  # below this the step is numerical noise
 _GN_JAC_BLOCK = 16           # perturbed points per batched residual evaluation
+_GN_BROYDEN_REFRESH = 8      # secant updates between forward-difference Jacobians
 
 # trace checkpoints when none are given, clipped to the iteration budget
 _STANDARD_CHECKPOINTS = (20, 40, 50, 80, 200)
@@ -341,13 +342,26 @@ class _GaussNewtonStepper:
     The point is z = (pixels, logits). The residual vector is the flattened
     virtual-minus-true gradient (plus the mean-anchor rows for the improved
     variant); the stepper carries it from the accepted trial to the next
-    iteration. Its Jacobian, kept transposed with one row per coordinate of
-    z, comes from forward differences evaluated for a stack of perturbed
-    points per call of the residual plan. Each iteration solves
-    (J^T J + mu I) delta = -J^T r and scales the step by eta; mu shrinks on
-    success and grows on rejection. The point is held, and nothing is
-    evaluated again, once the distance falls to the freeze threshold or a
-    step rejects every damping it tries.
+    iteration. Each iteration solves (J^T J + mu I) delta = -J^T r and scales
+    the step by eta; mu shrinks on success and grows on rejection.
+
+    The Jacobian is kept transposed (`jt`, one row per coordinate of z),
+    together with its Gram matrix `gram` = jt jt^T. A full Jacobian comes
+    from forward differences evaluated for a stack of perturbed points per
+    call of the residual plan. Between those refreshes, each accepted step s
+    with residual change dr applies Broyden's secant update
+    jt += s u^T, u = (dr - jt^T s) / (s.s), and the matching rank-two
+    correction to `gram`. The label-logit rows of `jt` are then recomputed
+    by forward differences at the new point, with the rows and columns of
+    `gram` they touch: the softmax saturates, so those rows shrink fast and
+    a stale secant row would let the pixels absorb the label misfit. The
+    full Jacobian is rebuilt after _GN_BROYDEN_REFRESH secant updates, and
+    at the same point when a step computed from secant updates is rejected;
+    that retry keeps mu and is no step event.
+
+    The point is held, and nothing is evaluated again, once the distance
+    falls to the freeze threshold or a step from a fresh Jacobian rejects
+    every damping it tries.
     """
 
     def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings,
@@ -363,6 +377,8 @@ class _GaussNewtonStepper:
             self._anchor_weight = np.sqrt(cfg.lambda_mean / self._pixels)
         self.step_events = 0
         self._mu: float | None = None  # seeded from the first Gram diagonal
+        self._jt = self._gram = None  # built at the first active step
+        self._secant_updates = 0
         z = np.concatenate([x.ravel(), y])
         self._move_to(z, self._rows(z[None])[0])
 
@@ -387,41 +403,76 @@ class _GaussNewtonStepper:
             r = np.concatenate([r, self._anchor_weight * centered], axis=1)
         return r
 
-    def _jacobian_t(self, z, r) -> np.ndarray:
-        """Forward-difference Jacobian, transposed: row i is dr/dz_i. The rows
-        are filled _GN_JAC_BLOCK perturbed points at a time."""
-        n = z.size
+    def _jacobian_t(self, z, r, first: int = 0) -> np.ndarray:
+        """Forward-difference Jacobian, transposed: row i is dr/dz_(first+i),
+        for the coordinates from `first` on. The rows are filled
+        _GN_JAC_BLOCK perturbed points at a time."""
+        n = z.size - first
         jt = np.empty((n, r.size))
         for s in range(0, n, _GN_JAC_BLOCK):
             idx = np.arange(min(_GN_JAC_BLOCK, n - s))
             zp = np.repeat(z[None, :], idx.size, axis=0)
-            zp[idx, s + idx] += _GN_FD_STEP
+            zp[idx, first + s + idx] += _GN_FD_STEP
             jt[s : s + idx.size] = (self._rows(zp) - r) / _GN_FD_STEP
         return jt
+
+    def _refresh(self) -> None:
+        self._jt = self._gram = None  # free the old pair before allocating
+        self._jt = self._jacobian_t(self._z, self._r)
+        self._gram = self._jt @ self._jt.T
+        self._secant_updates = 0
+
+    def _secant_update(self, s, dr) -> None:
+        """Broyden update of jt for the step just taken from the old point
+        to the current one, then exact label rows at the current point."""
+        jt, gram, p = self._jt, self._gram, self._pixels
+        u = (dr - jt.T @ s) / (s @ s)
+        w = jt @ u
+        # gram += w s^T + s w^T + (u.u) s s^T, as two outer products with v
+        v = w + (0.5 * (u @ u)) * s
+        gram += np.outer(v, s)
+        gram += np.outer(s, v)
+        for b in range(0, s.size, _GN_JAC_BLOCK):
+            jt[b : b + _GN_JAC_BLOCK] += np.outer(s[b : b + _GN_JAC_BLOCK], u)
+        jt[p:] = self._jacobian_t(self._z, self._r, p)
+        cross = jt @ jt[p:].T
+        gram[:, p:] = cross
+        gram[p:, :] = cross.T
+        self._secant_updates += 1
 
     def step(self) -> float:
         left = self.distance
         if self._held:
             return left
         z, r = self._z, self._r
-        jt = self._jacobian_t(z, r)
-        gram = jt @ jt.T
-        rhs = -(jt @ r)
+        if self._jt is None:
+            self._refresh()
+        rhs = -(self._jt @ r)
         if self._mu is None:
-            self._mu = _GN_DAMPING_SEED * max(float(gram.diagonal().max()), 1e-30)
+            self._mu = _GN_DAMPING_SEED * max(float(self._gram.diagonal().max()), 1e-30)
         sq = float(r @ r)
         eye = np.eye(z.size)
-        for _ in range(_GN_MAX_REJECTS_PER_STEP):
-            step = self._eta * np.linalg.solve(gram + self._mu * eye, rhs)
+        rejects = 0
+        while rejects < _GN_MAX_REJECTS_PER_STEP:
+            step = self._eta * np.linalg.solve(self._gram + self._mu * eye, rhs)
             if np.isfinite(step).all() and np.abs(step).max() <= _GN_STEP_CAP:
                 cand = z + step
                 rc = self._rows(cand[None])[0]
                 if np.isfinite(rc).all() and float(rc @ rc) < sq:
                     self._mu = max(self._mu / 3.0, _GN_DAMPING_MIN)
                     self._move_to(cand, rc)
+                    if self._secant_updates == _GN_BROYDEN_REFRESH:
+                        self._jt = self._gram = None  # rebuilt at the next step
+                    elif not self._held:
+                        self._secant_update(step, rc - r)
                     return left
+            if self._secant_updates:
+                self._refresh()  # retry from an exact Jacobian at the same mu
+                rhs = -(self._jt @ r)
+                continue
             self._mu *= 10.0
             self.step_events += 1
+            rejects += 1
         self._held = True  # no damping moves the point
         return left
 

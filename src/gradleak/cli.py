@@ -128,6 +128,8 @@ def _cmd_attack(args) -> int:
     if args.lam is not None and not args.improved:
         raise ContractError("--lambda weights the penalty that --improved adds; "
                             "give both or neither")
+    if args.jobs < 1:
+        raise ContractError(f"--jobs must be at least 1, got {args.jobs}")
     spec = _load_model(args.model)
     bundle = read_bundle(args.grad)
     params = build_model(spec, SeedRng(args.model_seed))

@@ -35,12 +35,14 @@ from gradleak import (
     victim_gradient,
 )
 from gradleak.attack import (
+    _GN_BROYDEN_REFRESH,
     _GN_FD_STEP,
     _GN_FREEZE_DISTANCE,
     VARIANTS,
     _build_attack_graph,
     _GaussNewtonStepper,
 )
+from gradleak.cli import cli_main
 from gradleak.models import Dense, Flatten
 from oracles import rel_err
 
@@ -371,6 +373,49 @@ class TestGaussNewtonJacobian:
         assert np.abs(want).max() > 1e-2
         assert np.abs(got - want.T).max() <= 1e-8
 
+    @staticmethod
+    def _demo_stepper():
+        # the demo spec, image and label, at the demo's seeded starting point
+        spec, params, _, bundle = _victim_setup(7, h=16, w=16, label=1)
+        cfg = AttackConfig(optimizer="gauss_newton")
+        rng = SeedRng(7 + 1000003)
+        x = rng.normal_array(spec.input_shape)
+        y = rng.normal_array((spec.classes,))
+        return _GaussNewtonStepper(_build_attack_graph(spec, params, bundle, cfg), cfg,
+                                   {n: t.array for n, t in params.flat()}, bundle, x, y)
+
+    def test_rank_two_update_keeps_the_gram_matrix(self):
+        stepper = self._demo_stepper()
+        seen = set()
+        for _ in range(_GN_BROYDEN_REFRESH):
+            stepper.step()
+            if stepper._secant_updates:
+                seen.add(stepper._secant_updates)
+                want = stepper._jt @ stepper._jt.T
+                assert np.abs(stepper._gram - want).max() <= 1e-12 * np.abs(want).max()
+        assert seen == set(range(1, _GN_BROYDEN_REFRESH + 1))
+
+    def test_label_rows_are_exact_after_a_secant_update(self):
+        stepper = self._demo_stepper()
+        pixels = stepper.x.size
+        stepper.step()
+        before = stepper._jt.copy()
+        stepper.step()
+        assert stepper._secant_updates == 2
+        exact = stepper._jacobian_t(stepper._z, stepper._r)
+        assert np.array_equal(stepper._jt[pixels:], exact[pixels:])
+        # the pixel rows are the secant estimate, not a fresh Jacobian
+        assert not np.array_equal(stepper._jt[:pixels], exact[:pixels])
+        assert not np.array_equal(stepper._jt[:pixels], before[:pixels])
+
+    def test_demo_seed_plain_broyden_breaks_converges(self, tmp_path, capsys):
+        # plain Broyden lets the pixels absorb the label misfit on this seed
+        # and its checkpoint MSE rises
+        assert cli_main(["demo", "--seed", "7919004", "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert "monotone_mse: true" in report
+        assert "converged: true" in report
+
     def test_frozen_stepper_holds_its_point_without_evaluating(self):
         # the bundle is the gradient at the virtual point itself, so the
         # stepper starts at or below the freeze threshold
@@ -397,14 +442,15 @@ class TestGaussNewtonJacobian:
 
     def test_point_no_damping_moves_is_held(self):
         # the mean-anchor rows keep the distance above the freeze threshold
-        # at this optimum, so every later step rejects all its dampings
+        # at this optimum, so every step from iteration 22 on rejects all its
+        # dampings
         from gradleak import synth_image
 
         spec = default_attack_spec(12, 12, 1, 2)
         params = build_model(spec, SeedRng(13))
         x = synth_image("blocks", 12, 12, 1, 23).to_tensor()
         bundle = victim_gradient(params, x, one_hot(1, 2))
-        cfg = AttackConfig(iterations=60, seed=3, checkpoints=(1, 20, 40, 60),
+        cfg = AttackConfig(iterations=60, seed=3, checkpoints=(1, 30, 45, 60),
                            optimizer="gauss_newton", variant="improved")
         _, trace = improved_dlg(spec, params, bundle, cfg, truth=x)
         held = trace.records[1:]

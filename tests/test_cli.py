@@ -110,6 +110,21 @@ def test_attack_multi_seed_with_jobs_matches_sequential(workspace):
     assert (seq_dir / "seed_2" / "trace.tsv").exists()
 
 
+def test_attack_jobs_below_one_exits_2(workspace, capsys):
+    tmp, model, image = workspace
+    grad_path = tmp / "g.glkb"
+    cli_main(["victim-grad", "--model", str(model), "--image", str(image),
+              "--label", "0", "--seed", "5", "--out", str(grad_path)])
+    capsys.readouterr()
+    for jobs in ("0", "-2"):
+        out = tmp / f"jobs{jobs}"
+        assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
+                         "--model-seed", "5", "--seed", "1,2", "--iters", "2",
+                         "--jobs", jobs, "--out", str(out)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_attack_digest_mismatch_exits_2(workspace, capsys):
     tmp, model, image = workspace
     other_model = tmp / "other.txt"
