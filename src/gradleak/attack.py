@@ -487,12 +487,13 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
             f"input {spec.input_shape}"
         )
 
-    rng = SeedRng(cfg.seed)
-    x = rng.normal_array(spec.input_shape)
-    y = rng.normal_array((spec.classes,))
-    if init is not None:
-        if init.x_virtual.shape != spec.input_shape or init.y_virtual.shape != (spec.classes,):
-            raise ShapeError("attack: init sample shapes do not match the model spec")
+    if init is None:
+        rng = SeedRng(cfg.seed)
+        x = rng.normal_array(spec.input_shape)
+        y = rng.normal_array((spec.classes,))
+    elif init.x_virtual.shape != spec.input_shape or init.y_virtual.shape != (spec.classes,):
+        raise ShapeError("attack: init sample shapes do not match the model spec")
+    else:
         x = init.x_virtual.array.copy()
         y = init.y_virtual.array.copy()
 

@@ -307,12 +307,10 @@ def build_model(spec: ModelSpec, rng: SeedRng) -> ModelParams:
         scale = 1.0 / math.sqrt(fan_in)
         entry: dict[str, Tensor] = {}
         wshape = shapes[f"{layer_name}.W"]
-        draws = [(rng.uniform() - 0.5) * scale for _ in range(math.prod(wshape))]
-        entry["W"] = Tensor(np.array(draws).reshape(wshape))
+        entry["W"] = Tensor((rng.uniform_array(wshape) - 0.5) * scale)
         bname = f"{layer_name}.B"
         if bname in shapes:
-            bdraws = [(rng.uniform() - 0.5) * scale for _ in range(shapes[bname][0])]
-            entry["B"] = Tensor(np.array(bdraws))
+            entry["B"] = Tensor((rng.uniform_array(shapes[bname]) - 0.5) * scale)
         weights[layer_name] = entry
     return ModelParams(spec, weights)
 

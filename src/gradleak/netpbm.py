@@ -139,11 +139,6 @@ def image_extension(channels: int) -> str:
     return "pgm" if channels == 1 else "ppm"
 
 
-def _ramp_value(x: int, y: int, ch: int, width: int, height: int, channels: int) -> int:
-    # diagonal ramp covering the full 0..255 range, one step per channel
-    return ((x + y + ch) * 255) // (width + height + channels - 3)
-
-
 def synth_image(kind: str, width: int, height: int, channels: int, seed: int) -> ImageBuffer:
     """Deterministic test images.
 
@@ -164,10 +159,9 @@ def synth_image(kind: str, width: int, height: int, channels: int, seed: int) ->
     img = np.zeros((height, width, channels), dtype=np.uint8)
 
     if kind == "gradient":
-        for y in range(height):
-            for x in range(width):
-                for ch in range(channels):
-                    img[y, x, ch] = _ramp_value(x, y, ch, width, height, channels)
+        # diagonal ramp covering the full 0..255 range, one step per channel
+        y, x, ch = np.ogrid[:height, :width, :channels]
+        img = (((x + y + ch) * 255) // (width + height + channels - 3)).astype(np.uint8)
     elif kind == "blocks":
         cell = max(2, min(width, height) // 4)
         for cy in range((height + cell - 1) // cell):

@@ -110,8 +110,12 @@ class SeedRng:
 
     The recurrence is fixed so the same seed yields the same draw sequence on
     every platform, which makes whole attack runs reproducible from a single
-    CLI seed. Each `normal()` consumes exactly two uniform draws (the sine
-    branch of the pair is discarded); nothing is cached between calls.
+    CLI seed. Draw k of the stream depends only on `seed + k * golden`, so
+    `uniform_array` computes a block of draws in wrapping uint64 NumPy; its
+    values and the state it leaves equal as many `uniform()` calls bit for
+    bit, and block and scalar draws interleave freely. Each normal consumes
+    exactly two uniform draws (the sine branch of the pair is discarded);
+    nothing is cached between calls.
     """
 
     __slots__ = ("state",)
@@ -130,13 +134,31 @@ class SeedRng:
         """Next double in [0, 1), from the 53 high bits of the stream."""
         return (self.next_u64() >> 11) * 2.0**-53
 
+    def uniform_array(self, shape: Sequence[int]) -> np.ndarray:
+        """The next `prod(shape)` uniforms, row-major; equal to that many `uniform()` calls."""
+        dims = _normalize_shape(shape)
+        n = math.prod(dims)
+        # uint64 array arithmetic wraps mod 2**64, as the masks do in next_u64
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self.state)
+        self.state = (self.state + n * _GOLDEN) & _U64
+        z ^= z >> 30
+        z *= np.uint64(_MIX1)
+        z ^= z >> 27
+        z *= np.uint64(_MIX2)
+        z ^= z >> 31
+        return ((z >> 11).astype(np.float64) * 2.0**-53).reshape(dims)
+
     def normal(self) -> float:
         """Next N(0, 1) draw."""
-        u1 = 1.0 - self.uniform()  # (0, 1]; keeps the log finite
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return float(self.normal_array(()))
 
     def normal_array(self, shape: Sequence[int]) -> np.ndarray:
         dims = _normalize_shape(shape)
-        flat = [self.normal() for _ in range(math.prod(dims))]
+        u = self.uniform_array((2 * math.prod(dims),))
+        u1 = (1.0 - u[0::2]).tolist()  # (0, 1]; keeps the log finite
+        angle = (2.0 * math.pi * u[1::2]).tolist()
+        # libm per element: np.log and np.cos differ from it in the last bit
+        flat = [math.sqrt(-2.0 * math.log(a)) * math.cos(t) for a, t in zip(u1, angle)]
         return np.array(flat, dtype=np.float64).reshape(dims)

@@ -5,6 +5,7 @@ arithmetic, central finite differences) and shares no code with the package
 internals beyond numpy itself.
 """
 
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -106,6 +107,31 @@ def splitmix64_ref(seed, n):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def loop_build_model(seed, layout):
+    """Model parameters drawn one SplitMix64 uniform at a time.
+
+    `layout` lists (tensor name, shape, fan-in) in draw order; each element
+    is (u - 0.5) / sqrt(fan-in), u being the 53 high bits of the next output.
+    """
+    stream = iter(splitmix64_ref(seed, sum(math.prod(shape) for _, shape, _ in layout)))
+    out = {}
+    for name, shape, fan_in in layout:
+        scale = 1.0 / math.sqrt(fan_in)
+        vals = [((next(stream) >> 11) * 2.0**-53 - 0.5) * scale for _ in range(math.prod(shape))]
+        out[name] = np.array(vals).reshape(shape)
+    return out
+
+
+def loop_ramp_image(width, height, channels):
+    """Diagonal 0..255 ramp, HxWxC uint8, filled one sample at a time."""
+    img = np.zeros((height, width, channels), dtype=np.uint8)
+    for y in range(height):
+        for x in range(width):
+            for ch in range(channels):
+                img[y, x, ch] = ((x + y + ch) * 255) // (width + height + channels - 3)
+    return img
 
 
 def rel_err(a, b, floor=1e-6):

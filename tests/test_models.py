@@ -24,7 +24,7 @@ from gradleak import (
     one_hot,
     parse_model_text,
 )
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, loop_build_model, rel_err
 
 
 def small_spec():
@@ -75,6 +75,53 @@ def test_same_seed_bit_identical_params():
     b = build_model(spec, SeedRng(99))
     for (na, ta), (nb, tb) in zip(a.flat(), b.flat()):
         assert na == nb and ta == tb
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_build_model_matches_scalar_loop_oracle(seed):
+    spec = default_attack_spec(32, 32, 3, 10)
+    layout = [
+        ("conv1.W", (5, 5, 3, 6), 5 * 5 * 3),
+        ("conv2.W", (5, 5, 6, 12), 5 * 5 * 6),
+        ("fc1.W", (10, 768), 768),
+        ("fc1.B", (10,), 768),
+    ]
+    expected = loop_build_model(seed, layout)
+    got = dict(build_model(spec, SeedRng(seed)).flat())
+    assert list(got) == [name for name, _, _ in layout]
+    for name, arr in expected.items():
+        assert got[name].array.tobytes() == arr.tobytes()
+
+
+def test_build_model_without_final_bias_matches_scalar_loop_oracle():
+    spec = ModelSpec(
+        input_shape=(6, 6, 2),
+        layers=(
+            Conv(kernel=3, out_channels=3, stride=1, padding=0),
+            Activation("sigmoid"),
+            Flatten(),
+            Dense(out_dim=5, biased=True),
+            Activation("sigmoid"),
+            Dense(out_dim=3, biased=False),
+        ),
+    )
+    layout = [
+        ("conv1.W", (3, 3, 2, 3), 3 * 3 * 2),
+        ("fc1.W", (5, 48), 48),
+        ("fc1.B", (5,), 48),
+        ("fc2.W", (3, 5), 5),
+    ]
+    rng = SeedRng(11)
+    got = dict(build_model(spec, rng).flat())
+    assert list(got) == [name for name, _, _ in layout]
+    expected = loop_build_model(11, layout)
+    for name, arr in expected.items():
+        assert got[name].array.tobytes() == arr.tobytes()
+    # the model used exactly its parameter count of draws
+    after = SeedRng(11)
+    for _ in range(sum(a.size for a in expected.values())):
+        after.uniform()
+    assert rng.state == after.state
 
 
 def test_init_respects_fan_in_scaling():

@@ -14,7 +14,7 @@ from gradleak import (
     synth_image,
     write_image,
 )
-from gradleak.netpbm import _ramp_value
+from oracles import loop_ramp_image
 
 
 class TestImageBuffer:
@@ -102,13 +102,14 @@ class TestCodec:
 class TestSynth:
     def test_gradient_matches_documented_ramp(self):
         buf = synth_image("gradient", 7, 5, 3, 123)
-        arr = np.frombuffer(buf.samples, dtype=np.uint8).reshape(5, 7, 3)
-        for y in range(5):
-            for x in range(7):
-                for ch in range(3):
-                    assert arr[y, x, ch] == _ramp_value(x, y, ch, 7, 5, 3)
+        assert buf.samples == loop_ramp_image(7, 5, 3).tobytes()
         # seed does not affect the ramp
         assert synth_image("gradient", 7, 5, 3, 9) == buf
+
+    @pytest.mark.parametrize("width,height,channels", [(4, 4, 1), (5, 7, 3), (64, 17, 1), (32, 32, 3)])
+    def test_gradient_matches_pixel_loop_oracle(self, width, height, channels):
+        buf = synth_image("gradient", width, height, channels, 0)
+        assert buf.samples == loop_ramp_image(width, height, channels).tobytes()
 
     def test_blocks_deterministic_per_seed(self):
         assert synth_image("blocks", 16, 16, 1, 5) == synth_image("blocks", 16, 16, 1, 5)

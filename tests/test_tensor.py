@@ -105,3 +105,37 @@ def test_normal_moments_are_sane():
     xs = np.array([rng.normal() for _ in range(4000)])
     assert abs(xs.mean()) < 0.08
     assert abs(xs.std() - 1.0) < 0.08
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1, 2**63 + 17])
+@pytest.mark.parametrize("n", [1, 2, 7, 1001])
+def test_uniform_array_equals_scalar_stream_and_state(seed, n):
+    block = SeedRng(seed)
+    got = block.uniform_array((n,))
+    scalar = SeedRng(seed)
+    expected = [scalar.uniform() for _ in range(n)]
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tolist() == expected
+    assert got.tolist() == [(z >> 11) * 2.0**-53 for z in splitmix64_ref(seed, n)]
+    assert block.state == scalar.state
+
+
+def test_block_and_scalar_draws_interleave_as_one_stream():
+    seed = 2**64 - 3  # the stream wraps 2**64 within the first draws
+    mixed = SeedRng(seed)
+    got = [mixed.uniform()]
+    got += mixed.uniform_array((5,)).tolist()
+    got.append(mixed.uniform())
+    got += mixed.uniform_array((2, 3)).ravel().tolist()
+    got.append(mixed.uniform())
+    scalar = SeedRng(seed)
+    assert got == [scalar.uniform() for _ in range(len(got))]
+    assert mixed.state == scalar.state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 17])
+def test_normal_array_equals_per_element_normal(seed):
+    got = SeedRng(seed).normal_array((5, 3))
+    scalar = SeedRng(seed)
+    expected = [scalar.normal() for _ in range(15)]
+    assert got.ravel().tolist() == expected
