@@ -17,12 +17,14 @@ import numpy as np
 
 from .errors import ContractError, IncompatibilityError, ParseError
 from .graph import grad
-from .models import ModelParams, forward_loss
+from .models import ModelParams, check_loss_inputs, forward_loss, loss_bindings
 from .tensor import Tensor
 
 MAGIC = b"GLKB"
 FORMAT_VERSION = 1
 AGGREGATE_CLIENT = 0xFFFFFFFF  # reserved client id marking an aggregated bundle
+_U32_MAX = 2**32 - 1
+_U64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,11 @@ class GradientBundle:
     tensors: tuple[tuple[str, Tensor], ...]
 
     def __post_init__(self):
+        for field, value, top in (("client_id", self.client_id, _U32_MAX),
+                                  ("round_index", self.round_index, _U32_MAX),
+                                  ("digest", self.digest, _U64_MAX)):
+            if not 0 <= value <= top:
+                raise ContractError(f"GradientBundle: {field} {value} outside [0, {top}]")
         seen: set[str] = set()
         for name in self.names():
             if name in seen:
@@ -51,19 +58,36 @@ class GradientBundle:
         raise KeyError(name)
 
 
+# The most recent victim-gradient plan, as (key, compiled plan). The clients
+# of a round share one model, so between their calls only the bound arrays
+# change; holding a single entry keeps memory bounded.
+_plan = None
+
+
 def victim_gradient(params: ModelParams, x: Tensor, target_probs: Tensor,
                     *, client_id: int = 0, round_index: int = 0) -> GradientBundle:
-    """Gradient of the classification loss at (x, target) w.r.t. every parameter."""
-    lg = forward_loss(params, x, target_probs)
-    grad_nodes = grad(lg.graph, wrt=lg.param_nodes.values())
-    names = [name for name, _ in params.flat()]
-    outputs = [grad_nodes[lg.param_nodes[name]] for name in names]
-    values = lg.graph.eval(lg.bindings, outputs)
+    """Gradient of the classification loss at (x, target) w.r.t. every parameter.
+
+    The gradient plan depends only on the spec and the parameter names and
+    shapes, so it is compiled once and reused while calls keep to one model.
+    """
+    global _plan
+    check_loss_inputs(params.spec, x, target_probs)
+    flat = params.flat()
+    names = [name for name, _ in flat]
+    key = (params.spec, tuple((name, t.shape) for name, t in flat))
+    plan = _plan
+    if plan is None or plan[0] != key:
+        lg = forward_loss(params, x, target_probs)
+        grad_nodes = grad(lg.graph, wrt=lg.param_nodes.values())
+        plan = (key, lg.graph.evaluator([grad_nodes[lg.param_nodes[name]] for name in names]))
+        _plan = plan
+    values = plan[1](loss_bindings(params, x, target_probs))
     return GradientBundle(
         digest=params.spec.digest,
         client_id=client_id,
         round_index=round_index,
-        tensors=tuple(zip(names, values)),
+        tensors=tuple((name, Tensor(v)) for name, v in zip(names, values)),
     )
 
 
@@ -100,7 +124,7 @@ def serialize_bundle(bundle: GradientBundle) -> bytes:
     """Encode a bundle in the .glkb wire format (little-endian, f64 payload)."""
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<IQII", FORMAT_VERSION, bundle.digest & (2**64 - 1),
+    out += struct.pack("<IQII", FORMAT_VERSION, bundle.digest,
                        bundle.client_id, bundle.round_index)
     out += struct.pack("<I", len(bundle.tensors))
     for name, tensor in bundle.tensors:
@@ -190,8 +214,10 @@ def deserialize_bundle(data: bytes) -> GradientBundle:
 
 
 def write_bundle(path, bundle: GradientBundle) -> None:
+    """Encode, then write: a bundle that fails to encode leaves no file."""
+    data = serialize_bundle(bundle)
     with open(path, "wb") as fh:
-        fh.write(serialize_bundle(bundle))
+        fh.write(data)
 
 
 def read_bundle(path) -> GradientBundle:

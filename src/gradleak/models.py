@@ -336,8 +336,13 @@ def build_logits(g: ExprGraph, spec: ModelSpec, x: NodeId,
 
 @dataclass(frozen=True)
 class LossGraph:
-    """A built classification loss: softmax of the logits against fixed
-    target probabilities, differentiable in the input and every parameter."""
+    """A built classification loss: softmax of the logits against target
+    probabilities, differentiable in the input and every parameter.
+
+    The input, the target and every parameter are variables, bound in
+    `bindings` under "x", "target" and the parameter names ('conv1.W', ...);
+    parameter names always hold a '.', so they never collide with the other two.
+    """
 
     graph: ExprGraph
     loss: NodeId
@@ -346,13 +351,8 @@ class LossGraph:
     bindings: Mapping[str, np.ndarray]
 
 
-def forward_loss(params: ModelParams, x: Tensor, target_probs: Tensor) -> LossGraph:
-    """Build cross_entropy(softmax(logits(x)), target_probs) as a graph.
-
-    The input and all parameters enter as variables; `bindings` carries their
-    concrete values so the graph evaluates (or differentiates) immediately.
-    """
-    spec = params.spec
+def check_loss_inputs(spec: ModelSpec, x: Tensor, target_probs: Tensor) -> None:
+    """Raise ShapeError unless x fits the model input and target_probs its classes."""
     if x.shape != spec.input_shape:
         raise ShapeError(
             f"forward_loss: input of shape {x.shape} does not match model input {spec.input_shape}"
@@ -362,16 +362,34 @@ def forward_loss(params: ModelParams, x: Tensor, target_probs: Tensor) -> LossGr
             f"forward_loss: target of shape {target_probs.shape} does not match "
             f"{spec.classes} classes"
         )
+
+
+def loss_bindings(params: ModelParams, x: Tensor, target_probs: Tensor) -> dict[str, np.ndarray]:
+    """The values a `forward_loss` graph of these parameters evaluates at."""
+    bindings = {name: t.array for name, t in params.flat()}
+    bindings["x"] = x.array
+    bindings["target"] = target_probs.array
+    return bindings
+
+
+def forward_loss(params: ModelParams, x: Tensor, target_probs: Tensor) -> LossGraph:
+    """Build cross_entropy(softmax(logits(x)), target) as a graph.
+
+    The input, the target and all parameters enter as variables; `bindings`
+    carries their concrete values (the target as "target") so the graph
+    evaluates (or differentiates) immediately, and the graph itself depends
+    only on the spec and the parameter shapes.
+    """
+    spec = params.spec
+    check_loss_inputs(spec, x, target_probs)
     g = ExprGraph()
     xv = g.variable("x", spec.input_shape)
     param_nodes = {name: g.variable(name, t.shape) for name, t in params.flat()}
     logits = build_logits(g, spec, xv, param_nodes)
-    target = g.constant(target_probs)
+    target = g.variable("target", target_probs.shape)
     loss = g.cross_entropy_logits(logits, target)
     g.set_output(loss)
-    bindings = {name: t.array for name, t in params.flat()}
-    bindings["x"] = x.array
-    return LossGraph(g, loss, xv, param_nodes, bindings)
+    return LossGraph(g, loss, xv, param_nodes, loss_bindings(params, x, target_probs))
 
 
 def default_attack_spec(h: int, w: int, c: int, m: int) -> ModelSpec:

@@ -70,6 +70,18 @@ def test_victim_grad_accepts_synth_descriptor(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--client", "-1"), ("--round", "4294967296")])
+def test_victim_grad_header_out_of_range_exits_2_and_writes_nothing(workspace, capsys,
+                                                                      flag, value):
+    tmp, model, image = workspace
+    out = tmp / "g.glkb"
+    code = cli_main(["victim-grad", "--model", str(model), "--image", str(image),
+                     "--label", "1", "--seed", "5", "--out", str(out), flag, value])
+    assert code == 2
+    assert f"{value} outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_attack_end_to_end(workspace, capsys):
     tmp, model, image = workspace
     grad_path = tmp / "g.glkb"

@@ -1,25 +1,34 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradleak.flsim as flsim
 from gradleak import (
     AGGREGATE_CLIENT,
     ContractError,
+    ExprGraph,
     GradientBundle,
     IncompatibilityError,
     ModelParams,
     ModelSpec,
     ParseError,
     SeedRng,
+    ShapeError,
     Tensor,
     aggregate,
     build_model,
     default_attack_spec,
     deserialize_bundle,
     fc_analytic_reconstruct,
+    forward_loss,
+    grad,
     one_hot,
     serialize_bundle,
+    synth_image,
     victim_gradient,
+    write_bundle,
 )
 from gradleak.models import Dense, Flatten
 from gradleak.ops import avg_pool2d, conv2d, sigmoid, softmax
@@ -82,7 +91,6 @@ def test_gradient_under_zero_input_and_zero_params_matches_fd():
     assert np.array_equal(bundle.get("fc1.W").array, np.zeros((2, 3)))
     assert np.allclose(bundle.get("fc1.B").array, [-0.5, 0.5], atol=1e-15)
 
-    from gradleak import forward_loss, grad
     lg = forward_loss(params, x, one_hot(0, 2))
     gm = grad(lg.graph, lg.param_nodes.values())
     run = lg.graph.evaluator([lg.loss])
@@ -99,6 +107,124 @@ def test_victim_gradient_is_deterministic():
     a = victim_gradient(params, x, one_hot(1, 2), client_id=3, round_index=9)
     b = victim_gradient(params, x, one_hot(1, 2), client_id=3, round_index=9)
     assert serialize_bundle(a) == serialize_bundle(b)
+
+
+def _oracle_bundle(params, x, target, client_id=0, round_index=0):
+    """victim_gradient as a fresh graph, gradient and plan for every call."""
+    lg = forward_loss(params, x, target)
+    grad_nodes = grad(lg.graph, wrt=lg.param_nodes.values())
+    names = list(lg.param_nodes)
+    values = lg.graph.evaluator([grad_nodes[lg.param_nodes[n]] for n in names])(lg.bindings)
+    return GradientBundle(params.spec.digest, client_id, round_index,
+                          tuple((n, Tensor(v)) for n, v in zip(names, values)))
+
+
+def _outcome(fn, *args):
+    """The bytes of the bundle fn returns, or the type of what it raises."""
+    try:
+        return serialize_bundle(fn(*args))
+    except Exception as e:  # noqa: BLE001 - the type is the outcome compared
+        return type(e)
+
+
+_PLAN_SPECS = (
+    default_attack_spec(12, 12, 1, 2),
+    default_attack_spec(32, 32, 3, 10),
+    ModelSpec((12, 12, 1), default_attack_spec(12, 12, 1, 3).layers[:-1]
+              + (Dense(out_dim=3, biased=False),)),
+    ModelSpec((4, 5, 1), (Flatten(), Dense(out_dim=4))),
+)
+
+
+def _client(spec, seed):
+    """Parameters, input and one-hot target of one client of `spec`."""
+    h, w, c = spec.input_shape
+    params = build_model(spec, SeedRng(seed))
+    x = synth_image("blocks", w, h, c, seed).to_tensor()
+    return params, x, one_hot(seed % spec.classes, spec.classes)
+
+
+class TestVictimPlan:
+    def test_cached_plan_matches_fresh_graph_as_specs_alternate(self):
+        for seed in range(3):
+            for spec in _PLAN_SPECS:  # each spec replaces the single plan entry
+                params, x, target = _client(spec, seed)
+                got = victim_gradient(params, x, target, client_id=seed, round_index=2)
+                want = _oracle_bundle(params, x, target, client_id=seed, round_index=2)
+                assert serialize_bundle(got) == serialize_bundle(want), (spec, seed)
+
+    def test_warm_call_builds_and_compiles_nothing(self, monkeypatch):
+        other, spec = _PLAN_SPECS[0], _PLAN_SPECS[2]
+        victim_gradient(*_client(other, 0))
+        warm = _client(spec, 5)
+        want = serialize_bundle(_oracle_bundle(*warm))
+        counts = {"evaluator": 0, "grad": 0}
+        graphs = []
+        evaluator, flsim_grad = ExprGraph.evaluator, flsim.grad
+        flsim_forward_loss = flsim.forward_loss
+
+        def counted_evaluator(graph, outputs):
+            counts["evaluator"] += 1
+            return evaluator(graph, outputs)
+
+        def counted_grad(*args, **kwargs):
+            counts["grad"] += 1
+            return flsim_grad(*args, **kwargs)
+
+        def recorded_forward_loss(*args):
+            lg = flsim_forward_loss(*args)
+            graphs.append(lg.graph)
+            return lg
+
+        monkeypatch.setattr(ExprGraph, "evaluator", counted_evaluator)
+        monkeypatch.setattr(flsim, "grad", counted_grad)
+        monkeypatch.setattr(flsim, "forward_loss", recorded_forward_loss)
+        victim_gradient(*_client(spec, 4))  # cold: the last call was another spec
+        assert counts == {"evaluator": 1, "grad": 1} and len(graphs) == 1
+        nodes = len(graphs[0])
+        got = victim_gradient(*warm)
+        assert counts == {"evaluator": 1, "grad": 1} and len(graphs) == 1
+        assert len(graphs[0]) == nodes
+        assert serialize_bundle(got) == want
+
+    @pytest.mark.parametrize("damage", ["missing bias", "wrong shape", "missing layer"])
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_params_that_disagree_with_their_spec_get_their_own_plan(self, damage, cache):
+        spec = _PLAN_SPECS[0]
+        params, x, target = _client(spec, 7)
+        weights = {layer: dict(entry) for layer, entry in params.weights.items()}
+        if damage == "missing bias":
+            del weights["fc1"]["B"]
+        elif damage == "wrong shape":
+            weights["conv2"]["W"] = Tensor.zeros((5, 5, 6, 11))
+        else:
+            del weights["conv2"]
+        bad = ModelParams(spec, weights)
+        victim_gradient(*_client(_PLAN_SPECS[1] if cache == "cold" else spec, 8))
+        want = _outcome(_oracle_bundle, bad, x, target)
+        assert _outcome(victim_gradient, bad, x, target) == want
+        if damage == "missing bias":
+            assert isinstance(want, bytes)  # the bias is left out of the bundle
+        else:
+            assert isinstance(want, type) and issubclass(want, Exception)
+        assert _outcome(victim_gradient, params, x, target) == _outcome(
+            _oracle_bundle, params, x, target)
+
+    def test_input_shapes_checked_on_a_warm_plan(self):
+        params, x, target = _client(_PLAN_SPECS[0], 1)
+        victim_gradient(params, x, target)
+        with pytest.raises(ShapeError, match="forward_loss: input of shape"):
+            victim_gradient(params, Tensor.zeros((12, 12, 3)), target)
+        with pytest.raises(ShapeError, match="forward_loss: target of shape"):
+            victim_gradient(params, x, one_hot(0, 3))
+
+    def test_spec_and_params_still_pickle(self):
+        params, x, target = _client(_PLAN_SPECS[0], 2)
+        victim_gradient(params, x, target)
+        assert pickle.loads(pickle.dumps(params.spec)) == params.spec
+        back = pickle.loads(pickle.dumps(params))
+        assert serialize_bundle(victim_gradient(back, x, target)) == serialize_bundle(
+            victim_gradient(params, x, target))
 
 
 def _toy_bundle(values, digest=0xABCD, client=1):
@@ -171,6 +297,32 @@ class TestBundleFormat:
         assert int.from_bytes(blob[4:8], "little") == 1
         assert int.from_bytes(blob[8:16], "little") == 0x1122334455667788
         assert int.from_bytes(blob[16:20], "little") == 9
+
+    @pytest.mark.parametrize("field, value", [
+        ("client_id", -1), ("client_id", 2**32), ("round_index", -1),
+        ("round_index", 2**32), ("digest", -5), ("digest", 2**64),
+    ])
+    def test_header_field_out_of_range_rejected(self, field, value):
+        fields = {"digest": 1, "client_id": 1, "round_index": 1, field: value}
+        with pytest.raises(ContractError, match=f"{field} {value} outside"):
+            GradientBundle(tensors=(("x", Tensor([1.0])),), **fields)
+
+    @pytest.mark.parametrize("digest, client, round_index", [
+        (2**64 - 1, 0, 0), (0, 2**32 - 1, 2**32 - 1), (2**64 - 1, 2**32 - 1, 7),
+    ])
+    def test_header_extremes_round_trip(self, digest, client, round_index):
+        bundle = GradientBundle(digest, client, round_index, (("x", Tensor([1.0])),))
+        blob = serialize_bundle(bundle)
+        assert int.from_bytes(blob[8:16], "little") == digest
+        back = deserialize_bundle(blob)
+        assert (back.digest, back.client_id, back.round_index) == (digest, client, round_index)
+        assert serialize_bundle(back) == blob
+
+    def test_write_bundle_that_fails_to_encode_leaves_no_file(self, tmp_path):
+        out = tmp_path / "bad.glkb"
+        with pytest.raises(ContractError, match="empty tensor name"):
+            write_bundle(out, _toy_bundle([("", [1.0])]))
+        assert not out.exists()
 
     def test_empty_tensor_name_rejected_on_both_sides(self):
         bad = _toy_bundle([("", [1.0])])
