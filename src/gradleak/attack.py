@@ -87,8 +87,8 @@ class AttackConfig:
     optimizer: str = "gd"
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ContractError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ContractError(f"eta must be positive and finite, got {self.eta}")
         if self.iterations < 1:
             raise ContractError(f"iterations must be >= 1, got {self.iterations}")
         if self.variant not in VARIANTS:
@@ -100,8 +100,8 @@ class AttackConfig:
         if self.halve_on_increase and self.optimizer == "gauss_newton":
             raise ContractError("halve_on_increase applies to the gd optimizer only; "
                                 "gauss_newton controls its step by damping")
-        if self.lambda_mean < 0:
-            raise ContractError(f"lambda_mean must be >= 0, got {self.lambda_mean}")
+        if not 0 <= self.lambda_mean < np.inf:
+            raise ContractError(f"lambda_mean must be finite and >= 0, got {self.lambda_mean}")
         if self.checkpoints is None:
             cps = tuple(sorted({c for c in _STANDARD_CHECKPOINTS if c <= self.iterations}
                                | {self.iterations}))
@@ -136,9 +136,6 @@ class AttackTrace:
 
     def distances(self) -> list[float]:
         return [r.distance for r in self.records]
-
-    def mses(self) -> list[float | None]:
-        return [r.mse_255 for r in self.records]
 
 
 def gradient_distance(g: ExprGraph, virtual_grads: Mapping[str, NodeId],

@@ -128,8 +128,6 @@ def _cmd_attack(args) -> int:
     if args.lam is not None and not args.improved:
         raise ContractError("--lambda weights the penalty that --improved adds; "
                             "give both or neither")
-    if args.jobs < 1:
-        raise ContractError(f"--jobs must be at least 1, got {args.jobs}")
     spec = _load_model(args.model)
     bundle = read_bundle(args.grad)
     params = build_model(spec, SeedRng(args.model_seed))
@@ -150,28 +148,17 @@ def _cmd_attack(args) -> int:
             **penalty,
         )
 
+    configs = [config_for(seed) for seed in seeds]  # all checked before any write
     out_root = Path(args.out)
     if len(seeds) == 1:
-        trace = _run_attack_once(spec, params, bundle, config_for(seeds[0]), truth, out_root)
+        trace = _run_attack_once(spec, params, bundle, configs[0], truth, out_root)
         final = trace.records[-1] if trace.records else None
         if final is not None and final.mse_255 is not None:
             print(f"final mse_255: {_format_float(final.mse_255)}")
         return 0
 
-    runs = [(spec, params, bundle, config_for(seed), truth, out_root / f"seed_{seed}")
-            for seed in seeds]
-    if args.jobs > 1:
-        # independent seeds: threads would serialize on the GIL over these small
-        # arrays, and forking a process that holds BLAS threads is unsafe
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(runs)),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            list(pool.map(_run_attack_once, *zip(*runs)))
-    else:
-        for run in runs:
-            _run_attack_once(*run)
+    for seed, cfg in zip(seeds, configs):
+        _run_attack_once(spec, params, bundle, cfg, truth, out_root / f"seed_{seed}")
     print(f"ran {len(seeds)} attacks under {out_root}")
     return 0
 
@@ -269,8 +256,6 @@ def build_parser() -> _Parser:
                    help="halve the step size whenever a step increases the distance (gd only)")
     p.add_argument("--optimizer", choices=("gd", "gauss-newton"), default="gd",
                    help="update rule: fixed-step descent or damped least squares")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="run multiple seeds in parallel worker processes")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_attack)
 

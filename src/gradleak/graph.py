@@ -129,7 +129,7 @@ class ExprGraph:
         return self._append("mul", (a, b), self._same_shape("mul", a, b))
 
     def neg(self, a: NodeId) -> NodeId:
-        return self._append("neg", (a,), self.shape_of(a))
+        return self.scale(a, -1.0)
 
     def scale(self, a: NodeId, c: float) -> NodeId:
         return self._append("scale", (a,), self.shape_of(a), params=(float(c),))
@@ -489,7 +489,6 @@ _EVAL.update({
     "add": lambda n, a: a[0] + a[1],
     "sub": lambda n, a: a[0] - a[1],
     "mul": lambda n, a: a[0] * a[1],
-    "neg": lambda n, a: -a[0],
     "scale": lambda n, a: a[0] * n.params[0],
     "exp": lambda n, a: np.exp(a[0]),
     "log": lambda n, a: np.log(a[0]),
@@ -535,10 +534,6 @@ def _vjp_sub(g, nid, gbar):
 def _vjp_mul(g, nid, gbar):
     a, b = g.node(nid).inputs
     return [(0, g.mul(gbar, b)), (1, g.mul(gbar, a))]
-
-
-def _vjp_neg(g, nid, gbar):
-    return [(0, g.neg(gbar))]
 
 
 def _vjp_scale(g, nid, gbar):
@@ -656,7 +651,6 @@ _VJP.update({
     "add": _vjp_add,
     "sub": _vjp_sub,
     "mul": _vjp_mul,
-    "neg": _vjp_neg,
     "scale": _vjp_scale,
     "exp": _vjp_exp,
     "log": _vjp_log,

@@ -240,6 +240,14 @@ class TestAttackConfig:
             AttackConfig(optimizer="gauss_newton", halve_on_increase=True)
         assert AttackConfig(optimizer="gd", halve_on_increase=True).halve_on_increase
 
+    @pytest.mark.parametrize("field, value", [
+        ("eta", float("nan")), ("eta", float("inf")), ("eta", float("-inf")),
+        ("lambda_mean", float("nan")), ("lambda_mean", float("inf")),
+    ])
+    def test_non_finite_step_and_penalty_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            AttackConfig(**{field: value})
+
 
 def _victim_setup(seed, h=12, w=12, m=2, label=0, kind="blocks"):
     from gradleak import synth_image

@@ -1,3 +1,4 @@
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -106,35 +107,52 @@ def test_attack_end_to_end(workspace, capsys):
     assert (out_dir / "recovered.pgm").read_bytes() == image.read_bytes()
 
 
-def test_attack_multi_seed_with_jobs_matches_sequential(workspace):
+def test_attack_multi_seed_matches_single_seed_runs(workspace):
+    # a shell loop over single-seed runs into <root>/seed_<s> reproduces the tree
     tmp, model, image = workspace
     grad_path = tmp / "g.glkb"
     cli_main(["victim-grad", "--model", str(model), "--image", str(image),
               "--label", "0", "--seed", "5", "--out", str(grad_path)])
-    seq_dir, par_dir = tmp / "seq", tmp / "par"
+    multi_dir, single_dir = tmp / "multi", tmp / "single"
     base = ["attack", "--model", str(model), "--grad", str(grad_path),
-            "--model-seed", "5", "--seed", "1,2", "--eta", "100.0",
-            "--iters", "10", "--checkpoints", "5,10"]
-    assert cli_main(base + ["--out", str(seq_dir)]) == 0
-    assert cli_main(base + ["--jobs", "2", "--out", str(par_dir)]) == 0
-    assert _tree_bytes(seq_dir) == _tree_bytes(par_dir)
-    assert (seq_dir / "seed_1" / "trace.tsv").exists()
-    assert (seq_dir / "seed_2" / "trace.tsv").exists()
+            "--model-seed", "5", "--eta", "100.0", "--iters", "10", "--checkpoints", "5,10"]
+    assert cli_main(base + ["--seed", "1,2", "--out", str(multi_dir)]) == 0
+    for seed in ("1", "2"):
+        assert cli_main(base + ["--seed", seed, "--out", str(single_dir / f"seed_{seed}")]) == 0
+    assert _tree_bytes(multi_dir) == _tree_bytes(single_dir)
+    assert (multi_dir / "seed_1" / "trace.tsv").exists()
+    assert (multi_dir / "seed_2" / "trace.tsv").exists()
 
 
-def test_attack_jobs_below_one_exits_2(workspace, capsys):
+def test_attack_jobs_is_a_usage_error(workspace, capsys):
     tmp, model, image = workspace
     grad_path = tmp / "g.glkb"
     cli_main(["victim-grad", "--model", str(model), "--image", str(image),
               "--label", "0", "--seed", "5", "--out", str(grad_path)])
     capsys.readouterr()
-    for jobs in ("0", "-2"):
-        out = tmp / f"jobs{jobs}"
-        assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
-                         "--model-seed", "5", "--seed", "1,2", "--iters", "2",
-                         "--jobs", jobs, "--out", str(out)]) == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert not out.exists()
+    out = tmp / "jobs"
+    assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
+                     "--model-seed", "5", "--seed", "1,2", "--iters", "2",
+                     "--jobs", "2", "--out", str(out)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--optimizer", "gauss-newton", "--eta", "nan"],
+                                   ["--improved", "--lambda", "nan"]])
+def test_attack_non_finite_eta_or_lambda_exits_2_and_writes_nothing(workspace, capsys,
+                                                                     extra):
+    tmp, model, image = workspace
+    grad_path = tmp / "g.glkb"
+    cli_main(["victim-grad", "--model", str(model), "--image", str(image),
+              "--label", "0", "--seed", "5", "--out", str(grad_path)])
+    capsys.readouterr()
+    out = tmp / "nan"
+    assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
+                     "--model-seed", "5", "--seed", "1", "--iters", "2",
+                     "--out", str(out)] + extra) == 2
+    assert "nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attack_digest_mismatch_exits_2(workspace, capsys):
@@ -223,6 +241,16 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_flags_exist():
+    # prose included: the README may name only options some subcommand has
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    known = {opt for sub in commands.choices.values() for action in sub._actions
+             for opt in action.option_strings}
+    assert flags and sorted(flags - known) == []
 
 
 def test_eval_identical_prints_zero(workspace, capsys):

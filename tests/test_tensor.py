@@ -43,7 +43,7 @@ def test_tensor_is_immutable():
 
 
 def test_tensor_stays_immutable_through_pickle():
-    # worker processes receive their tensors pickled
+    # whoever pickles a tensor, the copy that comes back is read-only too
     t = pickle.loads(pickle.dumps(Tensor([[1.0, 2.0]])))
     assert t == Tensor([[1.0, 2.0]])
     with pytest.raises(ValueError):
