@@ -13,7 +13,8 @@ Three attacks live here:
   (hence the second-order machinery in `graph`). Because the distance's
   curvature spans many orders of magnitude on CNNs, there is also a damped
   least-squares update (`optimizer="gauss_newton"`) that reaches pixel-exact
-  reconstructions in tens of iterations where fixed-step descent stalls.
+  reconstructions in tens of iterations where fixed-step descent stalls. It
+  moves the image alone, with the label fixed by the sign rule below.
 * `improved_dlg`: same loop with an extra mean-anchoring penalty that pulls
   pixels toward the image's running mean, damping leftover noise pixels in
   flat, light regions.
@@ -42,7 +43,7 @@ from .errors import (
 from .graph import ExprGraph, NodeId, Stack, grad, meta_grad
 from .flsim import GradientBundle
 from .metrics import ImagePair, mse_255, mse_unit
-from .models import ModelParams, ModelSpec, build_logits
+from .models import ModelParams, ModelSpec, build_logits, one_hot
 from .tensor import SeedRng, Tensor, as_array
 
 VARIANTS = ("baseline", "improved")
@@ -69,7 +70,8 @@ _STANDARD_CHECKPOINTS = (20, 40, 50, 80, 200)
 
 @dataclass(frozen=True)
 class VirtualSample:
-    """The attacker's trainable stand-ins: image pixels and label logits."""
+    """The attacker's stand-ins: image pixels and label logits (one-hot under
+    gauss_newton, which fixes the label)."""
 
     x_virtual: Tensor
     y_virtual: Tensor
@@ -268,18 +270,19 @@ def _check_compatible(spec: ModelSpec, params: ModelParams, target: GradientBund
 class _AttackGraph:
     graph: ExprGraph
     x: NodeId
-    y: NodeId
+    y: NodeId | None  # None when the label is fixed
     distance: NodeId
     virtual_nodes: tuple[tuple[str, NodeId], ...]  # bundle order
 
 
 def _build_attack_graph(spec: ModelSpec, params: ModelParams, target: GradientBundle,
-                        cfg: AttackConfig) -> _AttackGraph:
+                        cfg: AttackConfig, label: int | None = None) -> _AttackGraph:
     g = ExprGraph()
     xv = g.variable("x", spec.input_shape)
-    yv = g.variable("y", (spec.classes,))
+    yv = g.variable("y", (spec.classes,)) if label is None else None
     param_nodes = {name: g.variable(name, t.shape) for name, t in params.flat()}
-    virtual_target = g.softmax(yv)
+    virtual_target = (g.softmax(yv) if label is None
+                      else g.constant(one_hot(label, spec.classes)))
     logits = build_logits(g, spec, xv, param_nodes)
     loss = g.cross_entropy_logits(logits, virtual_target)
     g.set_output(loss)
@@ -293,9 +296,9 @@ def _build_attack_graph(spec: ModelSpec, params: ModelParams, target: GradientBu
     return _AttackGraph(g, xv, yv, distance, ordered)
 
 
-# each stepper is built at the starting point and holds the current point
-# (`x`, `y`) and its `distance`; `step()` moves it once and returns the
-# distance at the point it left
+# each stepper is built at the starting point and holds the current image
+# `x` and its `distance`; `step()` moves it once and returns the distance at
+# the point it left
 
 
 class _GdStepper:
@@ -336,25 +339,23 @@ class _GdStepper:
 class _GaussNewtonStepper:
     """Damped least-squares steps on the stacked gradient residuals.
 
-    The point is z = (pixels, logits). The residual vector is the flattened
+    The point z is the flat image; the label is fixed, so the virtual target
+    is a graph constant. The residual vector is the flattened
     virtual-minus-true gradient (plus the mean-anchor rows for the improved
     variant); the stepper carries it from the accepted trial to the next
     iteration. Each iteration solves (J^T J + mu I) delta = -J^T r and scales
     the step by eta; mu shrinks on success and grows on rejection.
 
-    The Jacobian is kept transposed (`jt`, one row per coordinate of z),
-    together with its Gram matrix `gram` = jt jt^T. A full Jacobian comes
-    from forward differences evaluated for a stack of perturbed points per
-    call of the residual plan. Between those refreshes, each accepted step s
-    with residual change dr applies Broyden's secant update
+    The Jacobian is kept transposed (`jt`, one row per pixel), together with
+    its Gram matrix `gram` = jt jt^T. A full Jacobian comes from forward
+    differences evaluated for a stack of perturbed points per call of the
+    residual plan. Between those refreshes, each accepted step s with
+    residual change dr applies Broyden's secant update
     jt += s u^T, u = (dr - jt^T s) / (s.s), and the matching rank-two
-    correction to `gram`. The label-logit rows of `jt` are then recomputed
-    by forward differences at the new point, with the rows and columns of
-    `gram` they touch: the softmax saturates, so those rows shrink fast and
-    a stale secant row would let the pixels absorb the label misfit. The
-    full Jacobian is rebuilt after _GN_BROYDEN_REFRESH secant updates, and
-    at the same point when a step computed from secant updates is rejected;
-    that retry keeps mu and is no step event.
+    correction to `gram`. The full Jacobian is rebuilt after
+    _GN_BROYDEN_REFRESH secant updates, and at the same point when a step
+    computed from secant updates is rejected; that retry keeps mu and is no
+    step event.
 
     The point is held, and nothing is evaluated again, once the distance
     falls to the freeze threshold or a step from a fresh Jacobian rejects
@@ -362,54 +363,49 @@ class _GaussNewtonStepper:
     """
 
     def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings,
-                 target: GradientBundle, x, y):
+                 target: GradientBundle, x):
         self._eval = ag.graph.evaluator([node for _, node in ag.virtual_nodes])
         self._targets = np.concatenate([t.array.ravel() for _, t in target.tensors])
         self._bindings = bindings
         self._eta = cfg.eta
-        self._shape = ag.graph.shape_of(ag.x)
-        self._pixels = int(np.prod(self._shape))
+        self._shape = x.shape
         self._anchor_weight = None
         if cfg.variant == "improved" and cfg.lambda_mean > 0:
-            self._anchor_weight = np.sqrt(cfg.lambda_mean / self._pixels)
+            self._anchor_weight = np.sqrt(cfg.lambda_mean / x.size)
         self.step_events = 0
         self._mu: float | None = None  # seeded from the first Gram diagonal
         self._jt = self._gram = None  # built at the first active step
         self._secant_updates = 0
-        z = np.concatenate([x.ravel(), y])
+        z = x.ravel()
         self._move_to(z, self._rows(z[None])[0])
 
     def _move_to(self, z, r) -> None:
         self._z, self._r = z, r
-        self.x = z[: self._pixels].reshape(self._shape)
-        self.y = z[self._pixels:]
+        self.x = z.reshape(self._shape)
         # distance excludes the penalty rows: it is the pure gradient gap
         core = r[: len(self._targets)]
         self.distance = float(core @ core)
         self._held = self.distance <= _GN_FREEZE_DISTANCE
 
     def _rows(self, zs) -> np.ndarray:
-        """Residual rows at each point of a (B, n) stack, one row per point."""
-        flat_x = zs[:, : self._pixels]
-        self._bindings["x"] = Stack(flat_x.reshape((-1,) + self._shape))
-        self._bindings["y"] = Stack(zs[:, self._pixels:])
+        """Residual rows at each point of a (B, pixels) stack, one row per point."""
+        self._bindings["x"] = Stack(zs.reshape((-1,) + self._shape))
         grads = self._eval(self._bindings)
         r = np.concatenate([a.reshape(len(zs), -1) for a in grads], axis=1) - self._targets
         if self._anchor_weight is not None:
-            centered = flat_x - flat_x.mean(axis=1, keepdims=True)
+            centered = zs - zs.mean(axis=1, keepdims=True)
             r = np.concatenate([r, self._anchor_weight * centered], axis=1)
         return r
 
-    def _jacobian_t(self, z, r, first: int = 0) -> np.ndarray:
-        """Forward-difference Jacobian, transposed: row i is dr/dz_(first+i),
-        for the coordinates from `first` on. The rows are filled
-        _GN_JAC_BLOCK perturbed points at a time."""
-        n = z.size - first
+    def _jacobian_t(self, z, r) -> np.ndarray:
+        """Forward-difference Jacobian, transposed: row i is dr/dz_i. The rows
+        are filled _GN_JAC_BLOCK perturbed points at a time."""
+        n = z.size
         jt = np.empty((n, r.size))
         for s in range(0, n, _GN_JAC_BLOCK):
             idx = np.arange(min(_GN_JAC_BLOCK, n - s))
             zp = np.repeat(z[None, :], idx.size, axis=0)
-            zp[idx, first + s + idx] += _GN_FD_STEP
+            zp[idx, s + idx] += _GN_FD_STEP
             jt[s : s + idx.size] = (self._rows(zp) - r) / _GN_FD_STEP
         return jt
 
@@ -420,9 +416,8 @@ class _GaussNewtonStepper:
         self._secant_updates = 0
 
     def _secant_update(self, s, dr) -> None:
-        """Broyden update of jt for the step just taken from the old point
-        to the current one, then exact label rows at the current point."""
-        jt, gram, p = self._jt, self._gram, self._pixels
+        """Broyden update of jt and gram for the step s just taken."""
+        jt, gram = self._jt, self._gram
         u = (dr - jt.T @ s) / (s @ s)
         w = jt @ u
         # gram += w s^T + s w^T + (u.u) s s^T, as two outer products with v
@@ -431,10 +426,6 @@ class _GaussNewtonStepper:
         gram += np.outer(s, v)
         for b in range(0, s.size, _GN_JAC_BLOCK):
             jt[b : b + _GN_JAC_BLOCK] += np.outer(s[b : b + _GN_JAC_BLOCK], u)
-        jt[p:] = self._jacobian_t(self._z, self._r, p)
-        cross = jt @ jt[p:].T
-        gram[:, p:] = cross
-        gram[p:, :] = cross.T
         self._secant_updates += 1
 
     def step(self) -> float:
@@ -494,12 +485,14 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
         x = init.x_virtual.array.copy()
         y = init.y_virtual.array.copy()
 
-    ag = _build_attack_graph(spec, params, target, cfg)
+    # gauss_newton fixes the label; the y draw above stays, so x is the same stream
+    label = None if cfg.optimizer == "gd" else infer_label_from_bundle(target)
+    ag = _build_attack_graph(spec, params, target, cfg, label)
     bindings = {name: t.array for name, t in params.flat()}
-    if cfg.optimizer == "gd":
+    if label is None:
         stepper = _GdStepper(ag, cfg, bindings, x, y)
     else:
-        stepper = _GaussNewtonStepper(ag, cfg, bindings, target, x, y)
+        stepper = _GaussNewtonStepper(ag, cfg, bindings, target, x)
 
     records: list[TraceRecord] = []
     checkpoints = set(cfg.checkpoints)
@@ -525,7 +518,8 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
                                        stepper.step_events))
 
     # checkpoint snapshots keep the unclamped iterate
-    sample = VirtualSample(Tensor(np.clip(stepper.x, 0.0, 1.0)), Tensor(stepper.y))
+    y_final = Tensor(stepper.y) if label is None else one_hot(label, spec.classes)
+    sample = VirtualSample(Tensor(np.clip(stepper.x, 0.0, 1.0)), y_final)
     return sample, AttackTrace(tuple(records))
 
 
@@ -537,9 +531,12 @@ def dlg_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
     Per iteration: virtual target = softmax(y'), virtual gradient = gradient
     of the loss at (x', virtual target), distance = squared gradient gap, and
     both virtual tensors move to shrink the distance (fixed-step descent by
-    default; see AttackConfig.optimizer). `truth`, when given, only feeds the
+    default; see AttackConfig.optimizer). With optimizer="gauss_newton" only
+    x' moves: the virtual target is one_hot of `infer_label_from_bundle`,
+    whose ContractError or AmbiguityError propagates, and the returned
+    y_virtual is that one-hot vector. `truth`, when given, only feeds the
     MSE columns of the trace; `init` overrides the seeded N(0, 1) starting
-    point (useful for fixed-point tests).
+    point (useful for fixed-point tests; gauss_newton ignores its y_virtual).
     """
     if cfg.variant != "baseline":
         raise ContractError("dlg_attack: cfg.variant must be 'baseline'; use improved_dlg")

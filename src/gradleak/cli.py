@@ -97,9 +97,9 @@ def _write_snapshot(path: Path, tensor: Tensor) -> None:
 
 
 def _run_attack_once(spec, params, bundle, cfg, truth, out_dir: Path) -> AttackTrace:
-    out_dir.mkdir(parents=True, exist_ok=True)
     runner = improved_dlg if cfg.variant == "improved" else dlg_attack
     sample, trace = runner(spec, params, bundle, cfg, truth=truth)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an attack that raises leaves no directory
     ext = image_extension(spec.input_shape[2])
     _write_snapshot(out_dir / f"recovered.{ext}", sample.x_virtual)
     for record in trace.records:

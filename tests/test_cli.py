@@ -167,6 +167,7 @@ def test_attack_digest_mismatch_exits_2(workspace, capsys):
                      "--checkpoints", "5", "--out", str(tmp / "x")])
     assert code == 2
     assert "digest" in capsys.readouterr().err
+    assert not (tmp / "x").exists()
 
 
 def test_analytic_fc_and_infer_label(workspace, capsys):
@@ -188,7 +189,7 @@ def test_analytic_fc_and_infer_label(workspace, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
-def test_infer_label_final_layer_without_bias_exits_2(tmp_path, capsys):
+def _unbiased_final_layer_bundle(tmp_path):
     # fc1 is a biased hidden layer; the final layer fc2 has no bias
     model = tmp_path / "model.txt"
     model.write_text("input h=4 w=4 c=1\nflatten\ndense out=5 bias=yes\n"
@@ -197,6 +198,11 @@ def test_infer_label_final_layer_without_bias_exits_2(tmp_path, capsys):
     assert cli_main(["victim-grad", "--model", str(model),
                      "--image", "synth:blocks:4x4x1:3", "--label", "0",
                      "--seed", "3", "--out", str(grad_path)]) == 0
+    return model, grad_path
+
+
+def test_infer_label_final_layer_without_bias_exits_2(tmp_path, capsys):
+    model, grad_path = _unbiased_final_layer_bundle(tmp_path)
     capsys.readouterr()
     assert cli_main(["infer-label", "--grad", str(grad_path)]) == 2
     assert "'fc2'" in capsys.readouterr().err
@@ -204,6 +210,18 @@ def test_infer_label_final_layer_without_bias_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "'fc2'" in captured.err
     assert captured.out == ""
+
+
+def test_gauss_newton_attack_final_layer_without_bias_exits_2(tmp_path, capsys):
+    # gauss-newton fixes the label by the sign rule, which needs fc2's bias
+    model, grad_path = _unbiased_final_layer_bundle(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "gn"
+    assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
+                     "--model-seed", "3", "--seed", "1", "--iters", "2",
+                     "--optimizer", "gauss-newton", "--out", str(out)]) == 2
+    assert "'fc2'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lambda_without_improved_exits_2(workspace, capsys):

@@ -75,10 +75,10 @@ def test_tracer_installs_counts_stacked_evaluations_and_restores(monkeypatch):
     assert np.array_equal(got.x_virtual.array, want.x_virtual.array)
     assert got_trace.distances() == want_trace.distances()
     names = [tracer.names[i] for i in tracer.span_name]
-    # every residual-plan call is seen: the starting point, one stack per
-    # block of the full Jacobian the first step builds, then per iteration at
-    # least one trial point (secant updates replace the later Jacobians)
-    blocks = math.ceil((math.prod(spec.input_shape) + spec.classes) / 16)
+    # every residual-plan call is seen: the starting point, one stack per 16
+    # pixels for the full Jacobian the first step builds, then per iteration
+    # at least one trial point (secant updates replace the later Jacobians)
+    blocks = math.ceil(math.prod(spec.input_shape) / 16)
     assert len(row_calls) >= 1 + blocks + cfg.iterations
     assert names.count("graph.eval.resid") == len(row_calls)
     assert tracer.counts[0]["attack.gn.trial_steps"] >= cfg.iterations
