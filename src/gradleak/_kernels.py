@@ -22,8 +22,6 @@ def pad2d(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def crop2d(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
     return x[..., p : x.shape[-3] - p, p : x.shape[-2] - p, :]
 
 

@@ -11,6 +11,15 @@ already contains first-order gradients).
 
 Shapes are static: builders infer and check them at construction time, so a
 mis-wired model fails when it is assembled, not mid-evaluation.
+
+Builders also rewrite as they go, so plans hold no work that only gets
+thrown away. A node equal to an existing one (same op, inputs and params; a
+constant, same shape and bytes) is that node. A `crop2d` moves into its
+input: across `add`, into the input of a `corr2d` (the zero-padding identity
+of transposed convolutions, Dumoulin and Visin, arXiv:1603.07285), and
+against a `pad2d`, so a backward correlation pads by only what it keeps.
+`rotswap(rotswap(k))` is `k`. Every rewrite gives the same bits as the
+composition it replaces.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ class ExprGraph:
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._index: dict[tuple, NodeId] = {}
         self._vars: dict[str, NodeId] = {}
         self._output: NodeId | None = None
 
@@ -91,8 +101,14 @@ class ExprGraph:
         for i in inputs:
             if not 0 <= i < len(self._nodes):
                 raise ContractError(f"{op}: input id {i} is not a node of this graph")
-        self._nodes.append(_Node(op, inputs, shape, params, payload))
-        return len(self._nodes) - 1
+        # repr keeps scale(a, -0.0) apart from scale(a, 0.0), which == would merge
+        key = ((op, shape, payload.tobytes()) if payload is not None
+               else (op, inputs, repr(params)))
+        nid = self._index.get(key)
+        if nid is None:
+            nid = self._index[key] = len(self._nodes)
+            self._nodes.append(_Node(op, inputs, shape, params, payload))
+        return nid
 
     # ------------------------------------------------------------------ leaves
 
@@ -217,12 +233,27 @@ class ExprGraph:
         h, w, c = self._spatial("pad2d", a)
         if p < 0:
             raise GeometryError(f"pad2d: negative padding {p}")
+        if p == 0:
+            return a
         return self._append("pad2d", (a,), (h + 2 * p, w + 2 * p, c), params=(p,))
 
     def crop2d(self, a: NodeId, p: int) -> NodeId:
         h, w, c = self._spatial("crop2d", a)
         if p < 0 or h - 2 * p < 1 or w - 2 * p < 1:
             raise GeometryError(f"crop2d: margin {p} leaves no pixels of {(h, w)}")
+        if p == 0:
+            return a
+        node = self._nodes[a]
+        if node.op == "add":
+            u, v = node.inputs
+            return self.add(self.crop2d(u, p), self.crop2d(v, p))
+        if node.op == "corr2d":
+            x, kernel = node.inputs
+            return self.corr2d(self.crop2d(x, p), kernel)
+        if node.op == "pad2d":
+            (b,) = node.inputs
+            q = node.params[0]
+            return self.pad2d(b, q - p) if q >= p else self.crop2d(b, p - q)
         return self._append("crop2d", (a,), (h - 2 * p, w - 2 * p, c), params=(p,))
 
     def corr2d(self, x: NodeId, kernel: NodeId) -> NodeId:
@@ -245,12 +276,19 @@ class ExprGraph:
         kw = sx[1] - sy[1] + 1
         if kh < 1 or kw < 1:
             raise ShapeError(f"kgrad_corr: output grid {sy} larger than input {sx}")
+        if kh != kw:
+            raise ShapeError(
+                f"kgrad_corr: input {sx} and output grid {sy} give a non-square "
+                f"kernel grid {(kh, kw)}; corr2d takes kxkxCxD kernels only"
+            )
         return self._append("kgrad_corr", (x, dy), (kh, kw, sx[2], sy[2]))
 
     def rotswap(self, kernel: NodeId) -> NodeId:
         s = self.shape_of(kernel)
         if len(s) != 4:
             raise ShapeError(f"rotswap: kernel must be 4-D, got shape {s}")
+        if self._nodes[kernel].op == "rotswap":
+            return self._nodes[kernel].inputs[0]
         return self._append("rotswap", (kernel,), (s[0], s[1], s[3], s[2]))
 
     def sslice2d(self, a: NodeId, s: int) -> NodeId:
@@ -297,8 +335,7 @@ class ExprGraph:
             raise ShapeError(f"conv2d: kernel must be kxkxCxD, got shape {sk}")
         conv_output_size(sx[0], sk[0], stride, zero_padding)
         conv_output_size(sx[1], sk[0], stride, zero_padding)
-        y = x if zero_padding == 0 else self.pad2d(x, zero_padding)
-        y = self.corr2d(y, kernel)
+        y = self.corr2d(self.pad2d(x, zero_padding), kernel)
         return y if stride == 1 else self.sslice2d(y, stride)
 
     def softmax(self, v: NodeId) -> NodeId:

@@ -10,6 +10,7 @@ from gradleak import (
     Dense,
     ExprGraph,
     Flatten,
+    GeometryError,
     ModelSpec,
     Pool,
     SeedRng,
@@ -23,6 +24,7 @@ from gradleak import (
     one_hot,
     victim_gradient,
 )
+from gradleak import _kernels as kern
 from gradleak.attack import _build_attack_graph
 from oracles import fd_gradient, rel_err
 
@@ -109,7 +111,7 @@ def test_gradient_of_gradient_scalar():
 @pytest.mark.parametrize("case", [
     "sigmoid", "relu", "exp", "log", "reciprocal", "add", "sub", "mul", "neg",
     "scale", "sum_fill", "reshape", "matvec", "matvec_t", "outer",
-    "pad_crop", "corr2d", "kgrad_corr", "rotswap", "sslice_dilate",
+    "pad_crop", "crop", "crop_corr", "crop_add", "crop_into_pad", "corr2d", "kgrad_corr", "rotswap", "sslice_dilate",
     "avg_pool", "avg_unpool", "softmax", "cross_entropy", "sq_diff_sum",
 ])
 def test_primitive_gradients_match_finite_differences(case):
@@ -164,7 +166,31 @@ def test_primitive_gradients_match_finite_differences(case):
     elif case == "pad_crop":
         a = g.variable("a", (4, 4, 2))
         node = g.crop2d(g.pad2d(a, 2), 1)
+        assert g.op_of(node) == "pad2d"  # folded to pad2d(a, 1)
         bindings = {"a": _rand(rng, (4, 4, 2))}
+    elif case == "crop":
+        a = g.variable("a", (6, 5, 2))
+        node = g.crop2d(a, 2)
+        assert g.op_of(node) == "crop2d"
+        bindings = {"a": _rand(rng, (6, 5, 2))}
+    elif case == "crop_corr":
+        # the backward correlation of a padding-1 conv, cropped: corr2d(pad2d(., 1))
+        x = g.variable("x", (4, 4, 2))
+        k = g.variable("k", (3, 3, 2, 3))
+        node = g.crop2d(g.corr2d(g.pad2d(x, 2), k), 1)
+        assert [g.op_of(node), g.op_of(g.node(node).inputs[0])] == ["corr2d", "pad2d"]
+        bindings = {"x": _rand(rng, (4, 4, 2)), "k": _rand(rng, (3, 3, 2, 3))}
+    elif case == "crop_add":
+        a = g.variable("a", (4, 4, 1))
+        b = g.variable("b", (8, 8, 1))
+        node = g.crop2d(g.add(g.pad2d(a, 2), g.mul(b, b)), 1)
+        assert g.op_of(node) == "add"
+        bindings = {"a": _rand(rng, (4, 4, 1)), "b": _rand(rng, (8, 8, 1))}
+    elif case == "crop_into_pad":
+        a = g.variable("a", (7, 6, 2))
+        node = g.crop2d(g.pad2d(a, 1), 3)
+        assert g.op_of(node) == "crop2d" and g.node(node).inputs == (a,)
+        bindings = {"a": _rand(rng, (7, 6, 2))}
     elif case == "corr2d":
         x = g.variable("x", (5, 5, 2))
         k = g.variable("k", (3, 3, 2, 2))
@@ -400,6 +426,137 @@ def test_build_time_shape_errors():
     k = g.variable("k", (3, 3, 2, 1))
     with pytest.raises(ShapeError, match="channels"):
         g.corr2d(c, k)
+
+
+def test_kgrad_corr_rejects_a_non_square_kernel_grid():
+    # grad through such a node would need corr2d on a non-square kernel
+    g = ExprGraph()
+    x = g.variable("x", (5, 6, 2))
+    dy = g.variable("dy", (3, 3, 3))
+    with pytest.raises(ShapeError, match="kgrad_corr"):
+        g.kgrad_corr(x, dy)
+    assert g.shape_of(g.kgrad_corr(x, g.variable("dy2", (3, 4, 3)))) == (3, 3, 2, 3)
+
+
+# ------------------------------------------------------------ build-time rewrites
+
+
+def _fold_cases():
+    """(name, builder, oracle, input shapes): the builder goes through the
+    folding ExprGraph methods, the oracle composes the unfolded _kernels."""
+    def crop_pad(q, p):
+        return (lambda g, a: g.crop2d(g.pad2d(a, q), p),
+                lambda a: kern.crop2d(kern.pad2d(a, q), p))
+
+    def backward_corr(g, d, kr):
+        # _vjp_corr2d's input gradient of a padding-1, 3x3 conv, then _vjp_pad2d's crop
+        return g.crop2d(g.corr2d(g.pad2d(d, 2), g.rotswap(kr)), 1)
+
+    def backward_corr_ref(d, kr):
+        return kern.crop2d(kern.corr2d(kern.pad2d(d, 2), kern.rotswap(kr)), 1)
+
+    def strided(g, d, kr):
+        # stride-2 conv of a 9x9 input padded by 1: dilate, then the same backward chain
+        return backward_corr(g, g.dilate2d(d, 2, 9, 9), kr)
+
+    def strided_ref(d, kr):
+        return backward_corr_ref(kern.dilate2d(d, 2, 9, 9), kr)
+
+    def tree(g, a, b, d, kr):
+        inner = g.add(g.pad2d(a, 3), g.corr2d(g.pad2d(d, 2), kr))
+        return g.crop2d(g.add(inner, g.mul(b, b)), 2)
+
+    def tree_ref(a, b, d, kr):
+        inner = kern.pad2d(a, 3) + kern.corr2d(kern.pad2d(d, 2), kr)
+        return kern.crop2d(inner + b * b, 2)
+
+    return [
+        ("q<p", *crop_pad(1, 3), [(9, 8, 2)]),
+        ("q==p", *crop_pad(2, 2), [(5, 4, 2)]),
+        ("q>p", *crop_pad(3, 1), [(5, 4, 2)]),
+        ("corr2d", backward_corr, backward_corr_ref, [(6, 6, 3), (3, 3, 2, 3)]),
+        ("strided", strided, strided_ref, [(5, 5, 3), (3, 3, 2, 3)]),
+        ("add_tree", tree, tree_ref, [(4, 5, 3), (10, 11, 3), (8, 9, 2), (3, 3, 2, 3)]),
+    ]
+
+
+@pytest.mark.parametrize("build, oracle, shapes",
+                         [pytest.param(*rest, id=name) for name, *rest in _fold_cases()])
+def test_folds_evaluate_to_the_unfolded_kernels_bit_for_bit(build, oracle, shapes):
+    rng = SeedRng(211)
+    g = ExprGraph()
+    names = [f"v{i}" for i in range(len(shapes))]
+    node = build(g, *(g.variable(n, s) for n, s in zip(names, shapes)))
+    # a crop is left only on what it cannot move into
+    for n in g._ancestors([node]):
+        if g.op_of(n) == "crop2d":
+            assert g.op_of(g.node(n).inputs[0]) not in ("add", "corr2d", "pad2d")
+    run = g.evaluator([node])
+    # one point, then a Stack of 3 for the first input with the others shared
+    point = {n: _rand(rng, s) for n, s in zip(names, shapes)}
+    (got,) = run(point)
+    want = oracle(*(point[n] for n in names))
+    assert got.shape == g.shape_of(node)
+    assert np.array_equal(got, want)
+    stack = _rand(rng, (3,) + shapes[0])
+    (got,) = run({**point, names[0]: Stack(stack)})
+    want = oracle(stack, *(point[n] for n in names[1:]))
+    assert got.shape == (3,) + g.shape_of(node)
+    assert np.array_equal(got, want)
+
+
+def test_fold_shortcuts_and_margin_check():
+    g = ExprGraph()
+    a = g.variable("a", (4, 4, 2))
+    k = g.variable("k", (3, 3, 2, 5))
+    assert g.pad2d(a, 0) == a
+    assert g.crop2d(a, 0) == a
+    assert g.crop2d(g.pad2d(a, 2), 2) == a
+    assert g.rotswap(g.rotswap(k)) == k
+    # the margin is checked on the node asked for, before any fold
+    with pytest.raises(GeometryError, match="crop2d"):
+        g.crop2d(g.pad2d(a, 1), 3)
+    with pytest.raises(GeometryError, match="crop2d"):
+        g.crop2d(g.corr2d(g.pad2d(a, 1), k), 2)
+
+
+def test_structurally_equal_nodes_are_one_node():
+    g = ExprGraph()
+    a = g.variable("a", (2, 3))
+    b = g.variable("b", (2, 3))
+    m = g.mul(a, b)
+    size = len(g)
+    assert g.mul(a, b) == m
+    assert g.mul(b, a) != m  # inputs are ordered
+    assert g.constant(np.ones((2, 3))) == g.constant(np.ones((2, 3)))
+    assert g.constant(np.zeros((2, 3))) != g.constant(np.zeros((3, 2)))
+    assert g.scale(a, 0.0) != g.scale(a, -0.0)
+    assert g.scale(a, 2.0) == g.scale(a, 2.0)
+    assert len(g) == size + 7
+    with pytest.raises(ContractError, match="already exists"):
+        g.variable("a", (2, 3))
+
+
+def _gd_and_gn_plans():
+    spec = default_attack_spec(12, 12, 1, 2)
+    params = build_model(spec, SeedRng(5))
+    truth = Tensor(_rand(SeedRng(6), spec.input_shape) * 0.5 + 0.5)
+    bundle = victim_gradient(params, truth, one_hot(1, 2))
+    plans = {}
+    for variant in ("baseline", "improved"):
+        ag = _build_attack_graph(spec, params, bundle, AttackConfig(variant=variant))
+        meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
+        plans[variant] = (ag.graph, [ag.distance, meta[ag.x], meta[ag.y]])
+    ag = _build_attack_graph(spec, params, bundle, AttackConfig(), label=1)
+    plans["gn_residual"] = (ag.graph, [node for _, node in ag.virtual_nodes])
+    return plans
+
+
+@pytest.mark.parametrize("plan", ["baseline", "improved", "gn_residual"])
+def test_default_spec_attack_plans_hold_no_crop(plan):
+    g, outputs = _gd_and_gn_plans()[plan]
+    ops = [g.op_of(n) for n in g._ancestors(outputs)]
+    assert "corr2d" in ops and "crop2d" not in ops
 
 
 RESIDUAL_SPECS = {
