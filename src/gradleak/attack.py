@@ -15,9 +15,9 @@ Three attacks live here:
   least-squares update (`optimizer="gauss_newton"`) that reaches pixel-exact
   reconstructions in tens of iterations where fixed-step descent stalls. It
   moves the image alone, with the label fixed by the sign rule below.
-* `improved_dlg`: same loop with an extra mean-anchoring penalty that pulls
-  pixels toward the image's running mean, damping leftover noise pixels in
-  flat, light regions.
+* `improved_dlg`: the fixed-step descent loop with an extra mean-anchoring
+  penalty that pulls pixels toward the image's running mean, damping
+  leftover noise pixels in flat, light regions; gauss_newton rejects it.
 
 `infer_label_from_bundle` reads the victim's label straight off the final
 layer's bias gradient: under softmax cross-entropy with batch size 1 the
@@ -102,6 +102,9 @@ class AttackConfig:
         if self.halve_on_increase and self.optimizer == "gauss_newton":
             raise ContractError("halve_on_increase applies to the gd optimizer only; "
                                 "gauss_newton controls its step by damping")
+        if self.variant == "improved" and self.optimizer == "gauss_newton":
+            raise ContractError("the improved variant applies to the gd optimizer only; "
+                                "gauss_newton fits the gradient alone")
         if not 0 <= self.lambda_mean < np.inf:
             raise ContractError(f"lambda_mean must be finite and >= 0, got {self.lambda_mean}")
         if self.checkpoints is None:
@@ -341,10 +344,10 @@ class _GaussNewtonStepper:
 
     The point z is the flat image; the label is fixed, so the virtual target
     is a graph constant. The residual vector is the flattened
-    virtual-minus-true gradient (plus the mean-anchor rows for the improved
-    variant); the stepper carries it from the accepted trial to the next
-    iteration. Each iteration solves (J^T J + mu I) delta = -J^T r and scales
-    the step by eta; mu shrinks on success and grows on rejection.
+    virtual-minus-true gradient, so its squared norm is the distance; the
+    stepper carries it from the accepted trial to the next iteration. Each
+    iteration solves (J^T J + mu I) delta = -J^T r and scales the step by
+    eta; mu shrinks on success and grows on rejection.
 
     The Jacobian is kept transposed (`jt`, one row per pixel), together with
     its Gram matrix `gram` = jt jt^T. A full Jacobian comes from forward
@@ -369,9 +372,6 @@ class _GaussNewtonStepper:
         self._bindings = bindings
         self._eta = cfg.eta
         self._shape = x.shape
-        self._anchor_weight = None
-        if cfg.variant == "improved" and cfg.lambda_mean > 0:
-            self._anchor_weight = np.sqrt(cfg.lambda_mean / x.size)
         self.step_events = 0
         self._mu: float | None = None  # seeded from the first Gram diagonal
         self._jt = self._gram = None  # built at the first active step
@@ -382,20 +382,14 @@ class _GaussNewtonStepper:
     def _move_to(self, z, r) -> None:
         self._z, self._r = z, r
         self.x = z.reshape(self._shape)
-        # distance excludes the penalty rows: it is the pure gradient gap
-        core = r[: len(self._targets)]
-        self.distance = float(core @ core)
+        self.distance = float(r @ r)
         self._held = self.distance <= _GN_FREEZE_DISTANCE
 
     def _rows(self, zs) -> np.ndarray:
         """Residual rows at each point of a (B, pixels) stack, one row per point."""
         self._bindings["x"] = Stack(zs.reshape((-1,) + self._shape))
         grads = self._eval(self._bindings)
-        r = np.concatenate([a.reshape(len(zs), -1) for a in grads], axis=1) - self._targets
-        if self._anchor_weight is not None:
-            centered = zs - zs.mean(axis=1, keepdims=True)
-            r = np.concatenate([r, self._anchor_weight * centered], axis=1)
-        return r
+        return np.concatenate([a.reshape(len(zs), -1) for a in grads], axis=1) - self._targets
 
     def _jacobian_t(self, z, r) -> np.ndarray:
         """Forward-difference Jacobian, transposed: row i is dr/dz_i. The rows
@@ -438,7 +432,6 @@ class _GaussNewtonStepper:
         rhs = -(self._jt @ r)
         if self._mu is None:
             self._mu = _GN_DAMPING_SEED * max(float(self._gram.diagonal().max()), 1e-30)
-        sq = float(r @ r)
         eye = np.eye(z.size)
         rejects = 0
         while rejects < _GN_MAX_REJECTS_PER_STEP:
@@ -446,7 +439,7 @@ class _GaussNewtonStepper:
             if np.isfinite(step).all() and np.abs(step).max() <= _GN_STEP_CAP:
                 cand = z + step
                 rc = self._rows(cand[None])[0]
-                if np.isfinite(rc).all() and float(rc @ rc) < sq:
+                if np.isfinite(rc).all() and float(rc @ rc) < left:
                     self._mu = max(self._mu / 3.0, _GN_DAMPING_MIN)
                     self._move_to(cand, rc)
                     if self._secant_updates == _GN_BROYDEN_REFRESH:
@@ -548,8 +541,9 @@ def improved_dlg(spec: ModelSpec, params: ModelParams, target: GradientBundle,
                  init: VirtualSample | None = None) -> tuple[VirtualSample, AttackTrace]:
     """Gradient matching plus the mean-anchoring penalty on the virtual image.
 
-    With lambda_mean = 0 the penalty is skipped entirely, so the trajectory
-    is bit-identical to `dlg_attack` under the same seed.
+    gd only: optimizer="gauss_newton" raises ContractError. With
+    lambda_mean = 0 the penalty is skipped entirely, so the trajectory is
+    bit-identical to `dlg_attack` under the same seed.
     """
     if cfg.variant != "improved":
         cfg = replace(cfg, variant="improved")

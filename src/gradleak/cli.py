@@ -246,7 +246,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--improved", action="store_true",
-                   help="add the mean-anchoring penalty")
+                   help="add the mean-anchoring penalty (gd only)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="mean-anchor penalty weight; needs --improved")
     p.add_argument("--truth", default=None,

@@ -202,7 +202,10 @@ def deserialize_bundle(data: bytes) -> GradientBundle:
                 f"tensor shape {tuple(dims)} overflows remaining payload", payload_at
             )
         payload = r.take(size * 8, "tensor payload")
-        values = np.frombuffer(payload, dtype="<f8").reshape(tuple(dims))
+        try:
+            values = np.frombuffer(payload, dtype="<f8").reshape(tuple(dims))
+        except ValueError:  # more dimensions than NumPy holds
+            raise ParseError(f"rank {rank} exceeds NumPy's maximum", name_at + name_len) from None
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ParseError(f"tensor {name!r} holds a non-finite value",

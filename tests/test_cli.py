@@ -138,20 +138,23 @@ def test_attack_jobs_is_a_usage_error(workspace, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--optimizer", "gauss-newton", "--eta", "nan"],
-                                   ["--improved", "--lambda", "nan"]])
-def test_attack_non_finite_eta_or_lambda_exits_2_and_writes_nothing(workspace, capsys,
-                                                                     extra):
+@pytest.mark.parametrize("extra, message", [
+    (["--optimizer", "gauss-newton", "--eta", "nan"], "eta must be positive and finite"),
+    (["--improved", "--lambda", "nan"], "lambda_mean must be finite"),
+    (["--improved", "--optimizer", "gauss-newton"], "improved variant applies to the gd"),
+    (["--halve-on-increase", "--optimizer", "gauss-newton"], "halve_on_increase applies"),
+], ids=["eta-nan", "lambda-nan", "improved-gauss-newton", "halve-gauss-newton"])
+def test_attack_rejected_setting_exits_2_and_writes_nothing(workspace, capsys, extra, message):
     tmp, model, image = workspace
     grad_path = tmp / "g.glkb"
     cli_main(["victim-grad", "--model", str(model), "--image", str(image),
               "--label", "0", "--seed", "5", "--out", str(grad_path)])
     capsys.readouterr()
-    out = tmp / "nan"
+    out = tmp / "rejected"
     assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
                      "--model-seed", "5", "--seed", "1", "--iters", "2",
                      "--out", str(out)] + extra) == 2
-    assert "nan" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -369,6 +369,22 @@ class TestBundleFormat:
                 deserialize_bundle(hacked)
             assert err.value.offset == at
 
+    @staticmethod
+    def _unit_tensor_blob(rank):
+        # one tensor "x" of the given rank, every dimension 1, payload 1.0
+        blob = serialize_bundle(_toy_bundle([("x", [1.0])]))
+        rank_at = blob.index(b"x") + 1
+        dims = (1).to_bytes(8, "little") * rank
+        return blob[:rank_at] + bytes([rank]) + dims + blob[-8:], rank_at
+
+    def test_rank_above_numpy_limit_names_its_byte_offset(self):
+        blob, _ = self._unit_tensor_blob(64)
+        assert deserialize_bundle(blob).tensors[0][1].shape == (1,) * 64
+        blob, rank_at = self._unit_tensor_blob(65)
+        with pytest.raises(ParseError, match="rank 65") as err:
+            deserialize_bundle(blob)
+        assert err.value.offset == rank_at
+
     def test_repeated_tensor_name_construction_rejected(self):
         with pytest.raises(ContractError, match="repeated tensor name 'x'"):
             _toy_bundle([("x", [1.0]), ("y", [3.0]), ("x", [2.0])])
