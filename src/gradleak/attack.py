@@ -14,7 +14,9 @@ Three attacks live here:
   curvature spans many orders of magnitude on CNNs, there is also a damped
   least-squares update (`optimizer="gauss_newton"`) that reaches pixel-exact
   reconstructions in tens of iterations where fixed-step descent stalls. It
-  moves the image alone, with the label fixed by the sign rule below.
+  moves the image alone, with the label fixed by the sign rule below, and
+  its residual is the victim's own gradient plan (`flsim.gradient_plan`) at
+  the virtual image and that label's one-hot target, minus the capture.
 * `improved_dlg`: the fixed-step descent loop with an extra mean-anchoring
   penalty that pulls pixels toward the image's running mean, damping
   leftover noise pixels in flat, light regions; gauss_newton rejects it.
@@ -41,9 +43,9 @@ from .errors import (
     ShapeError,
 )
 from .graph import ExprGraph, NodeId, Stack, grad, meta_grad
-from .flsim import GradientBundle
+from .flsim import GradientBundle, gradient_plan
 from .metrics import ImagePair, mse_255, mse_unit
-from .models import ModelParams, ModelSpec, build_logits, one_hot
+from .models import ModelParams, ModelSpec, build_logits, loss_bindings, one_hot
 from .tensor import SeedRng, Tensor, as_array
 
 VARIANTS = ("baseline", "improved")
@@ -53,6 +55,9 @@ OPTIMIZERS = ("gd", "gauss_newton")
 _DIVERGENCE_FACTOR = 1e6
 _DIVERGENCE_FLOOR = 1e-12
 _MAX_HALVINGS_PER_STEP = 60
+
+# bias-gradient entries within this of zero carry no dense-layer input
+_FC_BIAS_TOL = 1e-12
 
 # gauss_newton internals
 _GN_FD_STEP = 1e-6
@@ -193,7 +198,7 @@ def mean_anchor_penalty(g: ExprGraph, x: NodeId, weight: float) -> NodeId:
     return g.scale(g.sum_all(g.mul(centered, centered)), weight / pixels)
 
 
-def fc_analytic_reconstruct(grad_weight, grad_bias, *, tol: float = 1e-12) -> Tensor:
+def fc_analytic_reconstruct(grad_weight, grad_bias) -> Tensor:
     """Recover a biased dense layer's input from its gradient pair.
 
     For any row r, grad_weight[r] = grad_bias[r] * input, so the input is the
@@ -207,14 +212,14 @@ def fc_analytic_reconstruct(grad_weight, grad_bias, *, tol: float = 1e-12) -> Te
             f"{gb.shape} do not pair up"
         )
     row = int(np.argmax(np.abs(gb)))
-    if abs(gb[row]) <= tol:
+    if abs(gb[row]) <= _FC_BIAS_TOL:
         raise BiasGradientVanishesError(
-            f"all bias-gradient entries are within {tol} of zero"
+            f"all bias-gradient entries are within {_FC_BIAS_TOL} of zero"
         )
     return Tensor(gw[row] / gb[row])
 
 
-def fc_reconstruction_spread(grad_weight, grad_bias, *, tol: float = 1e-12) -> float:
+def fc_reconstruction_spread(grad_weight, grad_bias) -> float:
     """Diagnostic: worst disagreement between the per-row reconstructions.
 
     Near zero for a consistent gradient pair; a large spread means the bundle
@@ -222,8 +227,8 @@ def fc_reconstruction_spread(grad_weight, grad_bias, *, tol: float = 1e-12) -> f
     """
     gw = as_array(grad_weight)
     gb = as_array(grad_bias)
-    best = fc_analytic_reconstruct(gw, gb, tol=tol).array
-    rows = np.nonzero(np.abs(gb) > tol)[0]
+    best = fc_analytic_reconstruct(gw, gb).array
+    rows = np.nonzero(np.abs(gb) > _FC_BIAS_TOL)[0]
     spread = 0.0
     for r in rows:
         spread = max(spread, float(np.max(np.abs(gw[r] / gb[r] - best))))
@@ -267,25 +272,31 @@ def _check_compatible(spec: ModelSpec, params: ModelParams, target: GradientBund
             f"attack: bundle digest {target.digest:#018x} does not match model spec "
             f"digest {spec.digest:#018x}"
         )
+    wanted = {name: t.shape for name, t in params.flat()}
+    found = {name: t.shape for name, t in target.tensors}
+    if found != wanted:
+        raise IncompatibilityError(
+            f"attack: bundle tensors {found} do not match the model parameters {wanted}"
+        )
 
 
 @dataclass(frozen=True)
 class _AttackGraph:
     graph: ExprGraph
     x: NodeId
-    y: NodeId | None  # None when the label is fixed
+    y: NodeId
     distance: NodeId
-    virtual_nodes: tuple[tuple[str, NodeId], ...]  # bundle order
 
 
 def _build_attack_graph(spec: ModelSpec, params: ModelParams, target: GradientBundle,
-                        cfg: AttackConfig, label: int | None = None) -> _AttackGraph:
+                        cfg: AttackConfig) -> _AttackGraph:
+    """The gd objective: the gradient distance at the virtual image and the
+    softmax of the virtual logits, plus the mean anchor under `improved`."""
     g = ExprGraph()
     xv = g.variable("x", spec.input_shape)
-    yv = g.variable("y", (spec.classes,)) if label is None else None
+    yv = g.variable("y", (spec.classes,))
     param_nodes = {name: g.variable(name, t.shape) for name, t in params.flat()}
-    virtual_target = (g.softmax(yv) if label is None
-                      else g.constant(one_hot(label, spec.classes)))
+    virtual_target = g.softmax(yv)
     logits = build_logits(g, spec, xv, param_nodes)
     loss = g.cross_entropy_logits(logits, virtual_target)
     g.set_output(loss)
@@ -295,13 +306,12 @@ def _build_attack_graph(spec: ModelSpec, params: ModelParams, target: GradientBu
     if cfg.variant == "improved" and cfg.lambda_mean > 0:
         # the objective that meta_grad differentiates
         g.set_output(g.add(distance, mean_anchor_penalty(g, xv, cfg.lambda_mean)))
-    ordered = tuple((name, virtual[name]) for name in target.names())
-    return _AttackGraph(g, xv, yv, distance, ordered)
+    return _AttackGraph(g, xv, yv, distance)
 
 
 # each stepper is built at the starting point and holds the current image
-# `x` and its `distance`; `step()` moves it once and returns the distance at
-# the point it left
+# `x`, label logits or target `y` and `distance`; `step()` moves it once and
+# returns the distance at the point it left
 
 
 class _GdStepper:
@@ -310,10 +320,11 @@ class _GdStepper:
     distance and both meta-gradients at every point the stepper moves to,
     halving trials included."""
 
-    def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings, x, y):
+    def __init__(self, params: ModelParams, target: GradientBundle, cfg: AttackConfig, x, y):
+        ag = _build_attack_graph(params.spec, params, target, cfg)
         meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
         self._eval = ag.graph.evaluator([ag.distance, meta[ag.x], meta[ag.y]])
-        self._bindings = bindings
+        self._bindings = {name: t.array for name, t in params.flat()}
         self._halve = cfg.halve_on_increase
         self._eta = cfg.eta
         self.step_events = 0
@@ -342,10 +353,11 @@ class _GdStepper:
 class _GaussNewtonStepper:
     """Damped least-squares steps on the stacked gradient residuals.
 
-    The point z is the flat image; the label is fixed, so the virtual target
-    is a graph constant. The residual vector is the flattened
-    virtual-minus-true gradient, so its squared norm is the distance; the
-    stepper carries it from the accepted trial to the next iteration. Each
+    The point z is the flat image; the label is fixed, so the residual
+    plan is the victim's gradient plan with "target" bound to its one-hot
+    vector `y`. The residual vector is the flattened virtual-minus-true
+    gradient, in `params.flat()` order, so its squared norm is the distance;
+    the stepper carries it from the accepted trial to the next iteration. Each
     iteration solves (J^T J + mu I) delta = -J^T r and scales the step by
     eta; mu shrinks on success and grows on rejection.
 
@@ -365,11 +377,14 @@ class _GaussNewtonStepper:
     every damping it tries.
     """
 
-    def __init__(self, ag: _AttackGraph, cfg: AttackConfig, bindings,
+    def __init__(self, params: ModelParams, label: int, cfg: AttackConfig,
                  target: GradientBundle, x):
-        self._eval = ag.graph.evaluator([node for _, node in ag.virtual_nodes])
-        self._targets = np.concatenate([t.array.ravel() for _, t in target.tensors])
-        self._bindings = bindings
+        start, probs = Tensor(x), one_hot(label, params.spec.classes)
+        self._eval = gradient_plan(params, start, probs)
+        self._bindings = loss_bindings(params, start, probs)
+        self._targets = np.concatenate([target.get(name).array.ravel()
+                                        for name, _ in params.flat()])
+        self.y = probs.array
         self._eta = cfg.eta
         self._shape = x.shape
         self.step_events = 0
@@ -478,14 +493,12 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
         x = init.x_virtual.array.copy()
         y = init.y_virtual.array.copy()
 
-    # gauss_newton fixes the label; the y draw above stays, so x is the same stream
-    label = None if cfg.optimizer == "gd" else infer_label_from_bundle(target)
-    ag = _build_attack_graph(spec, params, target, cfg, label)
-    bindings = {name: t.array for name, t in params.flat()}
-    if label is None:
-        stepper = _GdStepper(ag, cfg, bindings, x, y)
+    if cfg.optimizer == "gd":
+        stepper = _GdStepper(params, target, cfg, x, y)
     else:
-        stepper = _GaussNewtonStepper(ag, cfg, bindings, target, x)
+        # gauss_newton fixes the label; the y draw above stays, so x is the same stream
+        label = infer_label_from_bundle(target)
+        stepper = _GaussNewtonStepper(params, label, cfg, target, x)
 
     records: list[TraceRecord] = []
     checkpoints = set(cfg.checkpoints)
@@ -511,8 +524,7 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
                                        stepper.step_events))
 
     # checkpoint snapshots keep the unclamped iterate
-    y_final = Tensor(stepper.y) if label is None else one_hot(label, spec.classes)
-    sample = VirtualSample(Tensor(np.clip(stepper.x, 0.0, 1.0)), y_final)
+    sample = VirtualSample(Tensor(np.clip(stepper.x, 0.0, 1.0)), Tensor(stepper.y))
     return sample, AttackTrace(tuple(records))
 
 

@@ -58,6 +58,19 @@ class GradientBundle:
         raise KeyError(name)
 
 
+def gradient_plan(params: ModelParams, x: Tensor, target_probs: Tensor):
+    """Compile the loss gradient w.r.t. every parameter into one plan.
+
+    The plan takes `loss_bindings`, with "x" bound to one point or to a
+    `Stack` of them, and returns one gradient per tensor of `params.flat()`,
+    in that order. The graph depends only on the spec and the parameter
+    shapes; `x` and `target_probs` are only checked against them.
+    """
+    lg = forward_loss(params, x, target_probs)
+    grads = grad(lg.graph, wrt=lg.param_nodes.values())
+    return lg.graph.evaluator([grads[node] for node in lg.param_nodes.values()])
+
+
 # The most recent victim-gradient plan, as (key, compiled plan). The clients
 # of a round share one model, so between their calls only the bound arrays
 # change; holding a single entry keeps memory bounded.
@@ -78,10 +91,7 @@ def victim_gradient(params: ModelParams, x: Tensor, target_probs: Tensor,
     key = (params.spec, tuple((name, t.shape) for name, t in flat))
     plan = _plan
     if plan is None or plan[0] != key:
-        lg = forward_loss(params, x, target_probs)
-        grad_nodes = grad(lg.graph, wrt=lg.param_nodes.values())
-        plan = (key, lg.graph.evaluator([grad_nodes[lg.param_nodes[name]] for name in names]))
-        _plan = plan
+        plan = _plan = (key, gradient_plan(params, x, target_probs))
     values = plan[1](loss_bindings(params, x, target_probs))
     return GradientBundle(
         digest=params.spec.digest,

@@ -37,10 +37,10 @@ from gradleak import (
     victim_gradient,
 )
 from gradleak.attack import (
+    OPTIMIZERS,
     _GN_BROYDEN_REFRESH,
     _GN_FD_STEP,
     _GN_FREEZE_DISTANCE,
-    _build_attack_graph,
     _GaussNewtonStepper,
 )
 from gradleak.cli import cli_main
@@ -133,6 +133,14 @@ class TestAnalyticReconstruction:
         gw_broken[1, 0] += 1.0
         assert fc_reconstruction_spread(gw_broken, gb) > 1.0
 
+
+# the default spec's conv1.W, conv2.W, fc1.W, fc1.B with one tensor altered
+ALTERED_TENSORS = {
+    "renamed": lambda ts: (("conv1.K", ts[0][1]),) + ts[1:],
+    "missing": lambda ts: ts[:1] + ts[2:],
+    "reshaped": lambda ts: (ts[:1] + (("conv2.W", Tensor(ts[1][1].array.transpose(0, 1, 3, 2))),)
+                            + ts[2:]),
+}
 
 GN_TWO_STEPS = AttackConfig(iterations=2, checkpoints=(2,), optimizer="gauss_newton")
 HIDDEN_BIAS_SPEC = ("input h=4 w=4 c=1\nflatten\ndense out=5 bias=yes\n"
@@ -345,6 +353,16 @@ class TestDlgAttack:
         with pytest.raises(IncompatibilityError):
             dlg_attack(other_spec, other_params, bundle, cfg)
 
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    @pytest.mark.parametrize("alter", sorted(ALTERED_TENSORS))
+    def test_bundle_tensors_must_match_the_parameters(self, optimizer, alter):
+        # the digest fits, but one tensor is renamed, missing or reshaped
+        spec, params, _, bundle = _victim_setup(5)
+        altered = replace(bundle, tensors=ALTERED_TENSORS[alter](bundle.tensors))
+        cfg = AttackConfig(iterations=2, checkpoints=(2,), optimizer=optimizer)
+        with pytest.raises(IncompatibilityError, match="bundle tensors"):
+            dlg_attack(spec, params, altered, cfg)
+
     def test_halve_on_increase_tames_a_hot_step_size(self):
         spec, params, x, bundle = _victim_setup(6)
         cfg = AttackConfig(eta=1e7, iterations=40, seed=3, checkpoints=(40,),
@@ -384,9 +402,26 @@ class TestDlgAttack:
         assert [r.snapshot for r in t1.records] == [r.snapshot for r in t2.records]
 
 
-def _gn_stepper(spec, params, bundle, cfg, x):
-    graph = _build_attack_graph(spec, params, bundle, cfg, infer_label_from_bundle(bundle))
-    return _GaussNewtonStepper(graph, cfg, {n: t.array for n, t in params.flat()}, bundle, x)
+def _gn_stepper(params, bundle, cfg, x):
+    return _GaussNewtonStepper(params, infer_label_from_bundle(bundle), cfg, bundle, x)
+
+
+def test_gauss_newton_rows_are_victim_gradients_minus_the_capture():
+    # the demo spec, image and label; the residual plan is the victim's, so
+    # its rows at [truth, seeded start] are bit for bit the victim gradients
+    # there, at the sign-rule label, minus the captured bundle
+    spec, params, x, bundle = _victim_setup(7, h=16, w=16, label=1)
+    start = SeedRng(7 + 1000003).normal_array(spec.input_shape)
+    stepper = _gn_stepper(params, bundle, AttackConfig(optimizer="gauss_newton"), start)
+    rows = stepper._rows(np.stack([x.array.ravel(), start.ravel()]))
+    target = one_hot(infer_label_from_bundle(bundle), spec.classes)
+    capture = np.concatenate([t.array.ravel() for _, t in bundle.tensors])
+    assert rows.shape == (2, capture.size)
+    for row, point in zip(rows, (x, Tensor(start))):
+        victim = victim_gradient(params, point, target)
+        assert np.array_equal(row, np.concatenate([t.array.ravel() for _, t in victim.tensors])
+                              - capture)
+    assert not rows[0].any()
 
 
 class TestGaussNewtonJacobian:
@@ -395,7 +430,7 @@ class TestGaussNewtonJacobian:
         spec, params, _, bundle = _victim_setup(7, h=16, w=16, label=1)
         cfg = AttackConfig(optimizer="gauss_newton")
         x = SeedRng(7 + 1000003).normal_array(spec.input_shape)
-        stepper = _gn_stepper(spec, params, bundle, cfg, x)
+        stepper = _gn_stepper(params, bundle, cfg, x)
         z = x.ravel()
         r = stepper._rows(z[None])[0]
 
@@ -418,7 +453,7 @@ class TestGaussNewtonJacobian:
         spec, params, _, bundle = _victim_setup(7, h=16, w=16, label=1)
         cfg = AttackConfig(optimizer="gauss_newton")
         x = SeedRng(7 + 1000003).normal_array(spec.input_shape)
-        return _gn_stepper(spec, params, bundle, cfg, x)
+        return _gn_stepper(params, bundle, cfg, x)
 
     def test_rank_two_update_keeps_the_gram_matrix(self):
         stepper = self._demo_stepper()
@@ -448,7 +483,7 @@ class TestGaussNewtonJacobian:
         x = SeedRng(11).normal_array(spec.input_shape)
         bundle = victim_gradient(params, Tensor(x), one_hot(1, spec.classes))
         cfg = AttackConfig(optimizer="gauss_newton")
-        stepper = _gn_stepper(spec, params, bundle, cfg, x)
+        stepper = _gn_stepper(params, bundle, cfg, x)
         dist, hx = stepper.distance, stepper.x
         assert dist <= _GN_FREEZE_DISTANCE
         assert np.array_equal(hx, x)

@@ -1,6 +1,7 @@
 import argparse
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,34 @@ def test_attack_digest_mismatch_exits_2(workspace, capsys):
                      "--checkpoints", "5", "--out", str(tmp / "x")])
     assert code == 2
     assert "digest" in capsys.readouterr().err
+
+
+# the default spec's conv1.W, conv2.W, fc1.W, fc1.B with one tensor altered
+_ALTERED_TENSORS = {
+    "renamed": lambda ts: (("conv1.K", ts[0][1]),) + ts[1:],
+    "missing": lambda ts: ts[:1] + ts[2:],
+    "reshaped": lambda ts: (ts[:1] + (("conv2.W", Tensor(ts[1][1].array.transpose(0, 1, 3, 2))),)
+                            + ts[2:]),
+}
+
+
+@pytest.mark.parametrize("optimizer", ["gd", "gauss-newton"])
+@pytest.mark.parametrize("alter", sorted(_ALTERED_TENSORS))
+def test_attack_bundle_tensor_mismatch_exits_2_and_writes_nothing(workspace, capsys,
+                                                                   optimizer, alter):
+    # the digest fits the model, but one tensor does not fit its parameter
+    tmp, model, image = workspace
+    spec = default_attack_spec(12, 12, 1, 2)
+    bundle = victim_gradient(build_model(spec, SeedRng(5)),
+                             read_image(image).to_tensor(), one_hot(0, 2))
+    grad_path = tmp / "g.glkb"
+    write_bundle(grad_path, replace(bundle, tensors=_ALTERED_TENSORS[alter](bundle.tensors)))
+    out = tmp / "x"
+    assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
+                     "--model-seed", "5", "--seed", "1", "--iters", "2",
+                     "--optimizer", optimizer, "--out", str(out)]) == 2
+    assert "bundle tensors" in capsys.readouterr().err
+    assert not out.exists()
     assert not (tmp / "x").exists()
 
 

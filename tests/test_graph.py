@@ -26,6 +26,8 @@ from gradleak import (
 )
 from gradleak import _kernels as kern
 from gradleak.attack import _build_attack_graph
+from gradleak.flsim import gradient_plan
+from gradleak.ops import softmax
 from oracles import fd_gradient, rel_err
 
 
@@ -537,6 +539,23 @@ def test_structurally_equal_nodes_are_one_node():
         g.variable("a", (2, 3))
 
 
+def _gradient_plan_nodes(params, x, target):
+    """The graph and outputs that `gradient_plan` compiles, caught at the
+    `evaluator` call."""
+    caught = []
+    compile_plan = ExprGraph.evaluator
+
+    def catch(graph, outputs):
+        caught.append((graph, list(outputs)))
+        return compile_plan(graph, outputs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ExprGraph, "evaluator", catch)
+        gradient_plan(params, x, target)
+    (plan,) = caught
+    return plan
+
+
 def _gd_and_gn_plans():
     spec = default_attack_spec(12, 12, 1, 2)
     params = build_model(spec, SeedRng(5))
@@ -547,8 +566,7 @@ def _gd_and_gn_plans():
         ag = _build_attack_graph(spec, params, bundle, AttackConfig(variant=variant))
         meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
         plans[variant] = (ag.graph, [ag.distance, meta[ag.x], meta[ag.y]])
-    ag = _build_attack_graph(spec, params, bundle, AttackConfig(), label=1)
-    plans["gn_residual"] = (ag.graph, [node for _, node in ag.virtual_nodes])
+    plans["gn_residual"] = _gradient_plan_nodes(params, truth, one_hot(1, 2))
     return plans
 
 
@@ -578,26 +596,27 @@ RESIDUAL_SPECS = {
 
 @pytest.mark.parametrize("name", sorted(RESIDUAL_SPECS))
 def test_batched_residual_plan_is_stack_of_single_evaluations(name):
-    # every node the GN residual plan evaluates, each rule on (B, ...) inputs
+    # every node the GN residual plan (the victim gradient plan) evaluates,
+    # each rule on (B, ...) inputs, with the target stacked too
     spec = RESIDUAL_SPECS[name]
     rng = SeedRng(17)
     params = build_model(spec, rng)
     truth = Tensor(_rand(rng, spec.input_shape) * 0.5 + 0.5)
-    bundle = victim_gradient(params, truth, one_hot(1, spec.classes))
-    ag = _build_attack_graph(spec, params, bundle, AttackConfig())
-    nodes = sorted(ag.graph._ancestors([node for _, node in ag.virtual_nodes]))
-    ops = {ag.graph.op_of(n) for n in nodes}
+    g, outputs = _gradient_plan_nodes(params, truth, one_hot(1, spec.classes))
+    nodes = sorted(g._ancestors(outputs))
+    ops = {g.op_of(n) for n in nodes}
     assert {"sum_all", "max_all", "fill", "reshape", "matvec", "matvec_t", "outer"} <= ops
 
     xs = _rand(rng, (5,) + spec.input_shape)
     ys = _rand(rng, (5, spec.classes), scale=3.0)
+    targets = np.stack([softmax(y).array for y in ys])
     bindings = {n: t.array for n, t in params.flat()}
-    run = ag.graph.evaluator(nodes)
-    batched = run({**bindings, "x": Stack(xs), "y": Stack(ys)})
-    per_point = [run({**bindings, "x": x, "y": y}) for x, y in zip(xs, ys)]
+    run = g.evaluator(nodes)
+    batched = run({**bindings, "x": Stack(xs), "target": Stack(targets)})
+    per_point = [run({**bindings, "x": x, "target": t}) for x, t in zip(xs, targets)]
     for j, nid in enumerate(nodes):
         want = np.stack([values[j] for values in per_point])
-        assert np.array_equal(batched[j], want), f"node {nid} ({ag.graph.op_of(nid)})"
+        assert np.array_equal(batched[j], want), f"node {nid} ({g.op_of(nid)})"
 
 
 def test_stack_bindings_check_the_leading_axis():
