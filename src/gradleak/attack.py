@@ -45,7 +45,7 @@ from .errors import (
 from .graph import ExprGraph, NodeId, Stack, grad, meta_grad
 from .flsim import GradientBundle, gradient_plan
 from .metrics import ImagePair, mse_255, mse_unit
-from .models import ModelParams, ModelSpec, build_logits, loss_bindings, one_hot
+from .models import ModelParams, ModelSpec, build_logits, one_hot
 from .tensor import SeedRng, Tensor, as_array
 
 VARIANTS = ("baseline", "improved")
@@ -288,10 +288,11 @@ class _AttackGraph:
     distance: NodeId
 
 
-def _build_attack_graph(spec: ModelSpec, params: ModelParams, target: GradientBundle,
+def _build_attack_graph(params: ModelParams, target: GradientBundle,
                         cfg: AttackConfig) -> _AttackGraph:
     """The gd objective: the gradient distance at the virtual image and the
     softmax of the virtual logits, plus the mean anchor under `improved`."""
+    spec = params.spec
     g = ExprGraph()
     xv = g.variable("x", spec.input_shape)
     yv = g.variable("y", (spec.classes,))
@@ -321,7 +322,7 @@ class _GdStepper:
     halving trials included."""
 
     def __init__(self, params: ModelParams, target: GradientBundle, cfg: AttackConfig, x, y):
-        ag = _build_attack_graph(params.spec, params, target, cfg)
+        ag = _build_attack_graph(params, target, cfg)
         meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
         self._eval = ag.graph.evaluator([ag.distance, meta[ag.x], meta[ag.y]])
         self._bindings = {name: t.array for name, t in params.flat()}
@@ -379,9 +380,8 @@ class _GaussNewtonStepper:
 
     def __init__(self, params: ModelParams, label: int, cfg: AttackConfig,
                  target: GradientBundle, x):
-        start, probs = Tensor(x), one_hot(label, params.spec.classes)
-        self._eval = gradient_plan(params, start, probs)
-        self._bindings = loss_bindings(params, start, probs)
+        probs = one_hot(label, params.spec.classes)
+        self._eval, self._bindings = gradient_plan(params, Tensor(x), probs)
         self._targets = np.concatenate([target.get(name).array.ravel()
                                         for name, _ in params.flat()])
         self.y = probs.array

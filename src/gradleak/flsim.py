@@ -61,14 +61,14 @@ class GradientBundle:
 def gradient_plan(params: ModelParams, x: Tensor, target_probs: Tensor):
     """Compile the loss gradient w.r.t. every parameter into one plan.
 
-    The plan takes `loss_bindings`, with "x" bound to one point or to a
-    `Stack` of them, and returns one gradient per tensor of `params.flat()`,
-    in that order. The graph depends only on the spec and the parameter
-    shapes; `x` and `target_probs` are only checked against them.
+    Returns the plan and its `loss_bindings` at (x, target_probs). The plan
+    returns one gradient per tensor of `params.flat()`, in that order, with
+    "x" bound to one point or to a `Stack` of them. It depends only on the
+    spec and the parameter shapes, so it serves any later bindings too.
     """
     lg = forward_loss(params, x, target_probs)
     grads = grad(lg.graph, wrt=lg.param_nodes.values())
-    return lg.graph.evaluator([grads[node] for node in lg.param_nodes.values()])
+    return lg.graph.evaluator([grads[node] for node in lg.param_nodes.values()]), lg.bindings
 
 
 # The most recent victim-gradient plan, as (key, compiled plan). The clients
@@ -91,8 +91,11 @@ def victim_gradient(params: ModelParams, x: Tensor, target_probs: Tensor,
     key = (params.spec, tuple((name, t.shape) for name, t in flat))
     plan = _plan
     if plan is None or plan[0] != key:
-        plan = _plan = (key, gradient_plan(params, x, target_probs))
-    values = plan[1](loss_bindings(params, x, target_probs))
+        run, bindings = gradient_plan(params, x, target_probs)
+        plan = _plan = (key, run)
+    else:
+        bindings = loss_bindings(params, x, target_probs)
+    values = plan[1](bindings)
     return GradientBundle(
         digest=params.spec.digest,
         client_id=client_id,

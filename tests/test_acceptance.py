@@ -216,7 +216,7 @@ def _meta_grad_fd_check(spec, seed):
     x = Tensor(_uniform(rng, spec.input_shape, 0.0, 1.0))
     bundle = victim_gradient(params, x, one_hot(0, spec.classes))
     cfg = AttackConfig(eta=1.0, iterations=1, checkpoints=(1,))
-    ag = _build_attack_graph(spec, params, bundle, cfg)
+    ag = _build_attack_graph(params, bundle, cfg)
     meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
     bindings = {name: t.array for name, t in params.flat()}
     bindings["x"] = SeedRng(seed + 2).normal_array(spec.input_shape)

@@ -563,7 +563,7 @@ def _gd_and_gn_plans():
     bundle = victim_gradient(params, truth, one_hot(1, 2))
     plans = {}
     for variant in ("baseline", "improved"):
-        ag = _build_attack_graph(spec, params, bundle, AttackConfig(variant=variant))
+        ag = _build_attack_graph(params, bundle, AttackConfig(variant=variant))
         meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
         plans[variant] = (ag.graph, [ag.distance, meta[ag.x], meta[ag.y]])
     plans["gn_residual"] = _gradient_plan_nodes(params, truth, one_hot(1, 2))
