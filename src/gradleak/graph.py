@@ -12,14 +12,14 @@ already contains first-order gradients).
 Shapes are static: builders infer and check them at construction time, so a
 mis-wired model fails when it is assembled, not mid-evaluation.
 
-Builders also rewrite as they go, so plans hold no work that only gets
-thrown away. A node equal to an existing one (same op, inputs and params; a
-constant, same shape and bytes) is that node. A `crop2d` moves into its
-input: across `add`, into the input of a `corr2d` (the zero-padding identity
-of transposed convolutions, Dumoulin and Visin, arXiv:1603.07285), and
-against a `pad2d`, so a backward correlation pads by only what it keeps.
-`rotswap(rotswap(k))` is `k`. Every rewrite gives the same bits as the
-composition it replaces.
+Correlations carry a signed margin: `corr2d` and `kgrad_corr` zero-pad
+their input by it, or crop it when the margin is negative. The input
+gradient of a correlation with margin m is then the correlation of the
+upstream gradient with margin k-1-m (the zero-padding identity of
+transposed convolutions, Dumoulin and Visin, arXiv:1603.07285), so no
+gradient is built full-size and cropped. Builders rewrite only two things:
+a node equal to an existing one (same op, inputs and params; a constant,
+same shape and bytes) is that node, and `rotswap(rotswap(k))` is `k`.
 """
 
 from __future__ import annotations
@@ -229,35 +229,15 @@ class ExprGraph:
             raise ShapeError(f"{op}: input must be HxWxC, got shape {s}")
         return s
 
-    def pad2d(self, a: NodeId, p: int) -> NodeId:
-        h, w, c = self._spatial("pad2d", a)
-        if p < 0:
-            raise GeometryError(f"pad2d: negative padding {p}")
-        if p == 0:
-            return a
-        return self._append("pad2d", (a,), (h + 2 * p, w + 2 * p, c), params=(p,))
+    def _margined(self, op: str, x: NodeId, m: int) -> Shape:
+        """x's shape once zero-padded by margin m, or cropped by -m if m < 0."""
+        h, w, c = self._spatial(op, x)
+        if h + 2 * m < 1 or w + 2 * m < 1:
+            raise GeometryError(f"{op}: margin {m} leaves no pixels of {(h, w)}")
+        return h + 2 * m, w + 2 * m, c
 
-    def crop2d(self, a: NodeId, p: int) -> NodeId:
-        h, w, c = self._spatial("crop2d", a)
-        if p < 0 or h - 2 * p < 1 or w - 2 * p < 1:
-            raise GeometryError(f"crop2d: margin {p} leaves no pixels of {(h, w)}")
-        if p == 0:
-            return a
-        node = self._nodes[a]
-        if node.op == "add":
-            u, v = node.inputs
-            return self.add(self.crop2d(u, p), self.crop2d(v, p))
-        if node.op == "corr2d":
-            x, kernel = node.inputs
-            return self.corr2d(self.crop2d(x, p), kernel)
-        if node.op == "pad2d":
-            (b,) = node.inputs
-            q = node.params[0]
-            return self.pad2d(b, q - p) if q >= p else self.crop2d(b, p - q)
-        return self._append("crop2d", (a,), (h - 2 * p, w - 2 * p, c), params=(p,))
-
-    def corr2d(self, x: NodeId, kernel: NodeId) -> NodeId:
-        sx = self._spatial("corr2d", x)
+    def corr2d(self, x: NodeId, kernel: NodeId, margin: int = 0) -> NodeId:
+        sx = self._margined("corr2d", x, margin)
         sk = self.shape_of(kernel)
         if len(sk) != 4 or sk[0] != sk[1]:
             raise ShapeError(f"corr2d: kernel must be kxkxCxD, got shape {sk}")
@@ -267,10 +247,10 @@ class ExprGraph:
             )
         oh = conv_output_size(sx[0], sk[0], 1, 0)
         ow = conv_output_size(sx[1], sk[0], 1, 0)
-        return self._append("corr2d", (x, kernel), (oh, ow, sk[3]))
+        return self._append("corr2d", (x, kernel), (oh, ow, sk[3]), params=(margin,))
 
-    def kgrad_corr(self, x: NodeId, dy: NodeId) -> NodeId:
-        sx = self._spatial("kgrad_corr", x)
+    def kgrad_corr(self, x: NodeId, dy: NodeId, margin: int = 0) -> NodeId:
+        sx = self._margined("kgrad_corr", x, margin)
         sy = self._spatial("kgrad_corr", dy)
         kh = sx[0] - sy[0] + 1
         kw = sx[1] - sy[1] + 1
@@ -281,7 +261,7 @@ class ExprGraph:
                 f"kgrad_corr: input {sx} and output grid {sy} give a non-square "
                 f"kernel grid {(kh, kw)}; corr2d takes kxkxCxD kernels only"
             )
-        return self._append("kgrad_corr", (x, dy), (kh, kw, sx[2], sy[2]))
+        return self._append("kgrad_corr", (x, dy), (kh, kw, sx[2], sy[2]), params=(margin,))
 
     def rotswap(self, kernel: NodeId) -> NodeId:
         s = self.shape_of(kernel)
@@ -335,7 +315,7 @@ class ExprGraph:
             raise ShapeError(f"conv2d: kernel must be kxkxCxD, got shape {sk}")
         conv_output_size(sx[0], sk[0], stride, zero_padding)
         conv_output_size(sx[1], sk[0], stride, zero_padding)
-        y = self.corr2d(self.pad2d(x, zero_padding), kernel)
+        y = self.corr2d(x, kernel, zero_padding)
         return y if stride == 1 else self.sslice2d(y, stride)
 
     def softmax(self, v: NodeId) -> NodeId:
@@ -486,10 +466,13 @@ def grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId | None = None) -> d
     for nid in range(out, -1, -1):
         if nid not in ancestors or nid not in contribs:
             continue
+        # summed pairwise, ((p0 + p1) + (p2 + p3)) + ...; float addition does not
+        # associate, so this order is part of every adjoint's bits
         parts = contribs.pop(nid)
+        while len(parts) > 1:
+            parts = [graph.add(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                     for i in range(0, len(parts), 2)]
         gbar = parts[0]
-        for extra in parts[1:]:
-            gbar = graph.add(gbar, extra)
         gradient_of[nid] = gbar
         node = graph.node(nid)
         if node.op in ("const", "var"):
@@ -522,6 +505,12 @@ def meta_grad(graph: ExprGraph, wrt: Iterable[NodeId]) -> dict[NodeId, NodeId]:
 # Rules reduce, broadcast and contract over the trailing node axes only, so
 # a value carrying leading batch axes evaluates as the stack of its entries.
 
+
+def _margin(x: np.ndarray, m: int) -> np.ndarray:
+    """A correlation's input as it sees it: zero-padded by m, or cropped by -m."""
+    return k.pad2d(x, m) if m >= 0 else k.crop2d(x, -m)
+
+
 _EVAL.update({
     "add": lambda n, a: a[0] + a[1],
     "sub": lambda n, a: a[0] - a[1],
@@ -542,10 +531,8 @@ _EVAL.update({
     "matvec": lambda n, a: np.matmul(a[0], a[1][..., None])[..., 0],
     "matvec_t": lambda n, a: np.matmul(a[0].swapaxes(-1, -2), a[1][..., None])[..., 0],
     "outer": lambda n, a: a[0][..., :, None] * a[1][..., None, :],
-    "pad2d": lambda n, a: k.pad2d(a[0], n.params[0]),
-    "crop2d": lambda n, a: k.crop2d(a[0], n.params[0]),
-    "corr2d": lambda n, a: k.corr2d(a[0], a[1]),
-    "kgrad_corr": lambda n, a: k.kgrad_corr(a[0], a[1]),
+    "corr2d": lambda n, a: k.corr2d(_margin(a[0], n.params[0]), a[1]),
+    "kgrad_corr": lambda n, a: k.kgrad_corr(_margin(a[0], n.params[0]), a[1]),
     "rotswap": lambda n, a: k.rotswap(a[0]),
     "sslice2d": lambda n, a: k.sslice2d(a[0], n.params[0]),
     "dilate2d": lambda n, a: k.dilate2d(a[0], *n.params),
@@ -636,26 +623,18 @@ def _vjp_outer(g, nid, gbar):
     return [(0, g.matvec(gbar, v)), (1, g.matvec_t(gbar, u))]
 
 
-def _vjp_pad2d(g, nid, gbar):
-    return [(0, g.crop2d(gbar, g.node(nid).params[0]))]
-
-
-def _vjp_crop2d(g, nid, gbar):
-    return [(0, g.pad2d(gbar, g.node(nid).params[0]))]
-
-
 def _vjp_corr2d(g, nid, gbar):
     x, kernel = g.node(nid).inputs
-    ksize = g.shape_of(kernel)[0]
-    dx = g.corr2d(g.pad2d(gbar, ksize - 1), g.rotswap(kernel))
-    return [(0, dx), (1, g.kgrad_corr(x, gbar))]
+    (m,) = g.node(nid).params
+    back = g.shape_of(kernel)[0] - 1 - m
+    return [(0, g.corr2d(gbar, g.rotswap(kernel), back)), (1, g.kgrad_corr(x, gbar, m))]
 
 
 def _vjp_kgrad_corr(g, nid, gbar):
     x, dy = g.node(nid).inputs
-    ksize = g.shape_of(nid)[0]
-    dx = g.corr2d(g.pad2d(dy, ksize - 1), g.rotswap(gbar))
-    return [(0, dx), (1, g.corr2d(x, gbar))]
+    (m,) = g.node(nid).params
+    back = g.shape_of(nid)[0] - 1 - m
+    return [(0, g.corr2d(dy, g.rotswap(gbar), back)), (1, g.corr2d(x, gbar, m))]
 
 
 def _vjp_rotswap(g, nid, gbar):
@@ -702,8 +681,6 @@ _VJP.update({
     "matvec": _vjp_matvec,
     "matvec_t": _vjp_matvec_t,
     "outer": _vjp_outer,
-    "pad2d": _vjp_pad2d,
-    "crop2d": _vjp_crop2d,
     "corr2d": _vjp_corr2d,
     "kgrad_corr": _vjp_kgrad_corr,
     "rotswap": _vjp_rotswap,

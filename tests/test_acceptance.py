@@ -111,12 +111,16 @@ def _primitive_scenarios():
         "matvec": ({"w": (3, 4), "x": (4,)}, lambda g, v: g.matvec(v["w"], v["x"])),
         "matvec_t": ({"w": (3, 4), "y": (3,)}, lambda g, v: g.matvec_t(v["w"], v["y"])),
         "outer": ({"u": (3,), "v": (4,)}, lambda g, v: g.outer(v["u"], v["v"])),
-        "pad2d": ({"a": (3, 3, 2)}, lambda g, v: g.pad2d(v["a"], 2)),
-        "crop2d": ({"a": (5, 5, 2)}, lambda g, v: g.crop2d(v["a"], 1)),
         "corr2d": ({"x": (5, 5, 2), "k": (3, 3, 2, 2)},
                    lambda g, v: g.corr2d(v["x"], v["k"])),
+        "corr2d margin 2": ({"x": (3, 3, 2), "k": (3, 3, 2, 2)},
+                            lambda g, v: g.corr2d(v["x"], v["k"], 2)),
+        "corr2d margin -1": ({"x": (7, 7, 2), "k": (3, 3, 2, 2)},
+                             lambda g, v: g.corr2d(v["x"], v["k"], -1)),
         "kgrad_corr": ({"x": (5, 5, 2), "d": (3, 3, 3)},
                        lambda g, v: g.kgrad_corr(v["x"], v["d"])),
+        "kgrad_corr margin 1": ({"x": (3, 3, 2), "d": (3, 3, 3)},
+                                lambda g, v: g.kgrad_corr(v["x"], v["d"], 1)),
         "rotswap": ({"k": (3, 3, 2, 2)}, lambda g, v: g.rotswap(v["k"])),
         "sslice2d": ({"a": (5, 5, 2)}, lambda g, v: g.sslice2d(v["a"], 2)),
         "dilate2d": ({"a": (3, 3, 2)}, lambda g, v: g.dilate2d(v["a"], 2, 6, 6)),

@@ -24,12 +24,14 @@ from gradleak import (
     dlg_attack,
     fc_analytic_reconstruct,
     fc_reconstruction_spread,
+    forward_loss,
     grad,
     gradient_distance,
     improved_dlg,
     infer_label_from_bundle,
     label_from_gradient_sign,
     mean_anchor_penalty,
+    meta_grad,
     one_hot,
     parse_model_text,
     serialize_bundle,
@@ -42,10 +44,11 @@ from gradleak.attack import (
     _GN_FD_STEP,
     _GN_FREEZE_DISTANCE,
     _GaussNewtonStepper,
+    _build_attack_graph,
 )
 from gradleak.cli import cli_main
-from gradleak.models import Dense, Flatten
-from oracles import rel_err
+from gradleak.models import Activation, Conv, Dense, Flatten, Pool
+from oracles import fd_gradient, rel_err
 
 
 def _image(rng, h, w, c=1):
@@ -573,3 +576,56 @@ class TestImprovedVariant:
         cfg = AttackConfig(iterations=5, checkpoints=(5,), variant="improved")
         with pytest.raises(ContractError):
             dlg_attack(spec, params, bundle, cfg)
+
+
+# Padding wider than kernel - 1 is the one geometry whose backward
+# correlations crop (a negative margin): conv2's input gradient (k=1, pad=1)
+# in the victim gradient, and conv1's (k=3, pad=3) as well once the attack
+# differentiates w.r.t. the image.
+WIDE_PAD_SPEC = ModelSpec((6, 6, 1), (
+    Conv(kernel=3, out_channels=2, padding=3), Activation("sigmoid"),
+    Conv(kernel=1, out_channels=2, padding=1), Activation("sigmoid"),
+    Pool(window=2, stride=2), Flatten(), Dense(out_dim=2),
+))
+
+
+def _wide_pad_victim():
+    params = build_model(WIDE_PAD_SPEC, SeedRng(11))
+    x = _image(SeedRng(12), 6, 6)
+    return params, x, victim_gradient(params, x, one_hot(1, 2))
+
+
+def test_wide_padding_victim_gradient_matches_central_differences():
+    params, x, bundle = _wide_pad_victim()
+    lg = forward_loss(params, x, one_hot(1, 2))
+    run = lg.graph.evaluator([lg.loss])
+    for name, got in bundle.tensors:
+        want = fd_gradient(run, dict(lg.bindings), name)
+        worst = max(rel_err(a, b, 1e-6) for a, b in zip(got.array.ravel(), want.ravel()))
+        assert worst < 1e-5, f"{name}: worst relative error {worst}"
+
+
+def test_wide_padding_meta_gradient_matches_central_differences():
+    params, _, bundle = _wide_pad_victim()
+    ag = _build_attack_graph(params, bundle, AttackConfig())
+    meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
+    rng = SeedRng(13)
+    bindings = {name: t.array for name, t in params.flat()}
+    bindings["x"] = rng.normal_array(WIDE_PAD_SPEC.input_shape)
+    bindings["y"] = rng.normal_array((2,))
+    got = ag.graph.evaluator([meta[ag.x], meta[ag.y]])(bindings)
+    run = ag.graph.evaluator([ag.distance])
+    for name, analytic in zip(("x", "y"), got):
+        want = fd_gradient(run, dict(bindings), name)
+        worst = max(rel_err(a, b, 1e-6) for a, b in zip(analytic.ravel(), want.ravel()))
+        assert worst < 1e-4, f"{name}: worst relative error {worst}"  # criterion 3's bound
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_wide_padding_attack_runs_end_to_end(optimizer):
+    params, x, bundle = _wide_pad_victim()
+    cfg = AttackConfig(eta=0.5, iterations=20, checkpoints=(1, 20), seed=3, optimizer=optimizer)
+    sample, trace = dlg_attack(WIDE_PAD_SPEC, params, bundle, cfg, truth=x)
+    first, last = trace.distances()
+    assert np.isfinite(sample.x_virtual.array).all()
+    assert 0.0 <= last < first

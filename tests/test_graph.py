@@ -3,7 +3,6 @@ import pytest
 
 from gradleak import (
     Activation,
-    AttackConfig,
     CapabilityError,
     ContractError,
     Conv,
@@ -19,13 +18,12 @@ from gradleak import (
     Tensor,
     build_model,
     default_attack_spec,
+    forward_loss,
     grad,
     meta_grad,
     one_hot,
-    victim_gradient,
 )
 from gradleak import _kernels as kern
-from gradleak.attack import _build_attack_graph
 from gradleak.flsim import gradient_plan
 from gradleak.ops import softmax
 from oracles import fd_gradient, rel_err
@@ -113,7 +111,8 @@ def test_gradient_of_gradient_scalar():
 @pytest.mark.parametrize("case", [
     "sigmoid", "relu", "exp", "log", "reciprocal", "add", "sub", "mul", "neg",
     "scale", "sum_fill", "reshape", "matvec", "matvec_t", "outer",
-    "pad_crop", "crop", "crop_corr", "crop_add", "crop_into_pad", "corr2d", "kgrad_corr", "rotswap", "sslice_dilate",
+    "corr2d", "corr2d_pad", "corr2d_crop", "kgrad_corr", "kgrad_corr_pad", "kgrad_corr_crop",
+    "rotswap", "sslice_dilate",
     "avg_pool", "avg_unpool", "softmax", "cross_entropy", "sq_diff_sum",
 ])
 def test_primitive_gradients_match_finite_differences(case):
@@ -165,44 +164,21 @@ def test_primitive_gradients_match_finite_differences(case):
         v = g.variable("v", (4,))
         node = g.outer(u, v)
         bindings = {"u": _rand(rng, (3,)), "v": _rand(rng, (4,))}
-    elif case == "pad_crop":
-        a = g.variable("a", (4, 4, 2))
-        node = g.crop2d(g.pad2d(a, 2), 1)
-        assert g.op_of(node) == "pad2d"  # folded to pad2d(a, 1)
-        bindings = {"a": _rand(rng, (4, 4, 2))}
-    elif case == "crop":
-        a = g.variable("a", (6, 5, 2))
-        node = g.crop2d(a, 2)
-        assert g.op_of(node) == "crop2d"
-        bindings = {"a": _rand(rng, (6, 5, 2))}
-    elif case == "crop_corr":
-        # the backward correlation of a padding-1 conv, cropped: corr2d(pad2d(., 1))
-        x = g.variable("x", (4, 4, 2))
-        k = g.variable("k", (3, 3, 2, 3))
-        node = g.crop2d(g.corr2d(g.pad2d(x, 2), k), 1)
-        assert [g.op_of(node), g.op_of(g.node(node).inputs[0])] == ["corr2d", "pad2d"]
-        bindings = {"x": _rand(rng, (4, 4, 2)), "k": _rand(rng, (3, 3, 2, 3))}
-    elif case == "crop_add":
-        a = g.variable("a", (4, 4, 1))
-        b = g.variable("b", (8, 8, 1))
-        node = g.crop2d(g.add(g.pad2d(a, 2), g.mul(b, b)), 1)
-        assert g.op_of(node) == "add"
-        bindings = {"a": _rand(rng, (4, 4, 1)), "b": _rand(rng, (8, 8, 1))}
-    elif case == "crop_into_pad":
-        a = g.variable("a", (7, 6, 2))
-        node = g.crop2d(g.pad2d(a, 1), 3)
-        assert g.op_of(node) == "crop2d" and g.node(node).inputs == (a,)
-        bindings = {"a": _rand(rng, (7, 6, 2))}
-    elif case == "corr2d":
-        x = g.variable("x", (5, 5, 2))
+    elif case in ("corr2d", "corr2d_pad", "corr2d_crop"):
+        # margins 0, +2 (zero-padded input) and -1 (cropped input)
+        margin, side = {"corr2d": (0, 5), "corr2d_pad": (2, 3), "corr2d_crop": (-1, 7)}[case]
+        x = g.variable("x", (side, side, 2))
         k = g.variable("k", (3, 3, 2, 2))
-        node = g.corr2d(x, k)
-        bindings = {"x": _rand(rng, (5, 5, 2)), "k": _rand(rng, (3, 3, 2, 2))}
-    elif case == "kgrad_corr":
-        x = g.variable("x", (5, 5, 2))
+        node = g.corr2d(x, k, margin)
+        bindings = {"x": _rand(rng, (side, side, 2)), "k": _rand(rng, (3, 3, 2, 2))}
+    elif case in ("kgrad_corr", "kgrad_corr_pad", "kgrad_corr_crop"):
+        margin, side = {"kgrad_corr": (0, 5), "kgrad_corr_pad": (2, 1),
+                        "kgrad_corr_crop": (-1, 7)}[case]
+        x = g.variable("x", (side, side, 2))
         d = g.variable("d", (3, 3, 4))
-        node = g.kgrad_corr(x, d)
-        bindings = {"x": _rand(rng, (5, 5, 2)), "d": _rand(rng, (3, 3, 4))}
+        node = g.kgrad_corr(x, d, margin)
+        assert g.shape_of(node) == (3, 3, 2, 4)
+        bindings = {"x": _rand(rng, (side, side, 2)), "d": _rand(rng, (3, 3, 4))}
     elif case == "rotswap":
         k = g.variable("k", (3, 3, 2, 4))
         node = g.rotswap(k)
@@ -440,45 +416,48 @@ def test_kgrad_corr_rejects_a_non_square_kernel_grid():
     assert g.shape_of(g.kgrad_corr(x, g.variable("dy2", (3, 4, 3)))) == (3, 3, 2, 3)
 
 
-# ------------------------------------------------------------ build-time rewrites
+# ------------------------------------------------------------ margined correlations
+
+
+def _margin(a, m):
+    return kern.pad2d(a, m) if m >= 0 else kern.crop2d(a, -m)
 
 
 def _fold_cases():
-    """(name, builder, oracle, input shapes): the builder goes through the
-    folding ExprGraph methods, the oracle composes the unfolded _kernels."""
-    def crop_pad(q, p):
-        return (lambda g, a: g.crop2d(g.pad2d(a, q), p),
-                lambda a: kern.crop2d(kern.pad2d(a, q), p))
+    """(name, builder, oracle, input shapes): the builder is a correlation
+    with its margin folded in, the oracle pads or crops with the _kernels
+    first and then correlates."""
+    def corr(m):
+        return (lambda g, x, kr: g.corr2d(x, kr, m),
+                lambda x, kr: kern.corr2d(_margin(x, m), kr))
+
+    def kgrad(m):
+        return (lambda g, x, d: g.kgrad_corr(x, d, m),
+                lambda x, d: kern.kgrad_corr(_margin(x, m), d))
 
     def backward_corr(g, d, kr):
-        # _vjp_corr2d's input gradient of a padding-1, 3x3 conv, then _vjp_pad2d's crop
-        return g.crop2d(g.corr2d(g.pad2d(d, 2), g.rotswap(kr)), 1)
+        # _vjp_corr2d's input gradient of a padding-1, 3x3 conv
+        return g.corr2d(d, g.rotswap(kr), 1)
 
     def backward_corr_ref(d, kr):
-        return kern.crop2d(kern.corr2d(kern.pad2d(d, 2), kern.rotswap(kr)), 1)
+        return kern.corr2d(kern.pad2d(d, 1), kern.rotswap(kr))
 
     def strided(g, d, kr):
-        # stride-2 conv of a 9x9 input padded by 1: dilate, then the same backward chain
+        # stride-2 conv of a 9x9 input padded by 1: dilate, then the same backward correlation
         return backward_corr(g, g.dilate2d(d, 2, 9, 9), kr)
 
     def strided_ref(d, kr):
         return backward_corr_ref(kern.dilate2d(d, 2, 9, 9), kr)
 
-    def tree(g, a, b, d, kr):
-        inner = g.add(g.pad2d(a, 3), g.corr2d(g.pad2d(d, 2), kr))
-        return g.crop2d(g.add(inner, g.mul(b, b)), 2)
-
-    def tree_ref(a, b, d, kr):
-        inner = kern.pad2d(a, 3) + kern.corr2d(kern.pad2d(d, 2), kr)
-        return kern.crop2d(inner + b * b, 2)
-
     return [
-        ("q<p", *crop_pad(1, 3), [(9, 8, 2)]),
-        ("q==p", *crop_pad(2, 2), [(5, 4, 2)]),
-        ("q>p", *crop_pad(3, 1), [(5, 4, 2)]),
+        ("corr2d+2", *corr(2), [(3, 4, 2), (3, 3, 2, 3)]),
+        ("corr2d0", *corr(0), [(5, 6, 2), (3, 3, 2, 3)]),
+        ("corr2d-1", *corr(-1), [(7, 8, 2), (3, 3, 2, 3)]),
+        ("kgrad_corr+2", *kgrad(2), [(4, 4, 2), (6, 6, 3)]),
+        ("kgrad_corr0", *kgrad(0), [(6, 6, 2), (4, 4, 3)]),
+        ("kgrad_corr-1", *kgrad(-1), [(8, 8, 2), (4, 4, 3)]),
         ("corr2d", backward_corr, backward_corr_ref, [(6, 6, 3), (3, 3, 2, 3)]),
         ("strided", strided, strided_ref, [(5, 5, 3), (3, 3, 2, 3)]),
-        ("add_tree", tree, tree_ref, [(4, 5, 3), (10, 11, 3), (8, 9, 2), (3, 3, 2, 3)]),
     ]
 
 
@@ -489,10 +468,6 @@ def test_folds_evaluate_to_the_unfolded_kernels_bit_for_bit(build, oracle, shape
     g = ExprGraph()
     names = [f"v{i}" for i in range(len(shapes))]
     node = build(g, *(g.variable(n, s) for n, s in zip(names, shapes)))
-    # a crop is left only on what it cannot move into
-    for n in g._ancestors([node]):
-        if g.op_of(n) == "crop2d":
-            assert g.op_of(g.node(n).inputs[0]) not in ("add", "corr2d", "pad2d")
     run = g.evaluator([node])
     # one point, then a Stack of 3 for the first input with the others shared
     point = {n: _rand(rng, s) for n, s in zip(names, shapes)}
@@ -509,17 +484,21 @@ def test_folds_evaluate_to_the_unfolded_kernels_bit_for_bit(build, oracle, shape
 
 def test_fold_shortcuts_and_margin_check():
     g = ExprGraph()
-    a = g.variable("a", (4, 4, 2))
-    k = g.variable("k", (3, 3, 2, 5))
-    assert g.pad2d(a, 0) == a
-    assert g.crop2d(a, 0) == a
-    assert g.crop2d(g.pad2d(a, 2), 2) == a
+    a = g.variable("a", (4, 5, 2))
+    k = g.variable("k", (1, 1, 2, 5))
+    d = g.variable("d", (2, 2, 3))
     assert g.rotswap(g.rotswap(k)) == k
-    # the margin is checked on the node asked for, before any fold
-    with pytest.raises(GeometryError, match="crop2d"):
-        g.crop2d(g.pad2d(a, 1), 3)
-    with pytest.raises(GeometryError, match="crop2d"):
-        g.crop2d(g.corr2d(g.pad2d(a, 1), k), 2)
+    # the margin is part of the node, so equal inputs at other margins stay apart
+    assert g.corr2d(a, k, 1) != g.corr2d(a, k, 0) == g.corr2d(a, k)
+    assert g.shape_of(g.corr2d(a, k, -1)) == (2, 3, 5)
+    # a crop must leave pixels, whether or not the kernel would then fit
+    for margin in (-2, -3):
+        with pytest.raises(GeometryError, match=f"corr2d: margin {margin} leaves no pixels"):
+            g.corr2d(a, k, margin)
+        with pytest.raises(GeometryError, match=f"kgrad_corr: margin {margin} leaves no pixels"):
+            g.kgrad_corr(a, d, margin)
+    with pytest.raises(GeometryError, match="does not fit"):
+        g.corr2d(a, g.variable("k3", (3, 3, 2, 1)), -1)
 
 
 def test_structurally_equal_nodes_are_one_node():
@@ -556,25 +535,29 @@ def _gradient_plan_nodes(params, x, target):
     return plan
 
 
-def _gd_and_gn_plans():
-    spec = default_attack_spec(12, 12, 1, 2)
+def test_grad_sums_a_nodes_contributions_pairwise():
+    # x has four consumers: its adjoint is (p0 + p1) + (p2 + p3), not a running sum
+    g = ExprGraph()
+    x = g.variable("x", (2,))
+    terms = [g.sum_all(g.scale(x, c)) for c in (1.0, 2.0, 3.0, 4.0)]
+    g.set_output(g.add(g.add(terms[0], terms[1]), g.add(terms[2], terms[3])))
+    gx = grad(g, [x])[x]
+    assert [g.op_of(i) for i in g.node(gx).inputs] == ["add", "add"]
+    assert g.eval({"x": np.zeros(2)}, [gx])[0].tolist() == [10.0, 10.0]
+
+
+def test_grad_leaves_no_correlation_without_a_consumer():
+    # the gradient of every padded conv, w.r.t. every variable of the demo
+    # loss: each correlation it builds is either used or a returned gradient
+    spec = default_attack_spec(16, 16, 1, 2)
     params = build_model(spec, SeedRng(5))
-    truth = Tensor(_rand(SeedRng(6), spec.input_shape) * 0.5 + 0.5)
-    bundle = victim_gradient(params, truth, one_hot(1, 2))
-    plans = {}
-    for variant in ("baseline", "improved"):
-        ag = _build_attack_graph(params, bundle, AttackConfig(variant=variant))
-        meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
-        plans[variant] = (ag.graph, [ag.distance, meta[ag.x], meta[ag.y]])
-    plans["gn_residual"] = _gradient_plan_nodes(params, truth, one_hot(1, 2))
-    return plans
-
-
-@pytest.mark.parametrize("plan", ["baseline", "improved", "gn_residual"])
-def test_default_spec_attack_plans_hold_no_crop(plan):
-    g, outputs = _gd_and_gn_plans()[plan]
-    ops = [g.op_of(n) for n in g._ancestors(outputs)]
-    assert "corr2d" in ops and "crop2d" not in ops
+    lg = forward_loss(params, Tensor(np.full(spec.input_shape, 0.5)), one_hot(1, 2))
+    g = lg.graph
+    returned = set(grad(g, wrt=g.variables().values()).values())
+    consumed = {i for n in range(len(g)) for i in g.node(n).inputs}
+    stray = [g.shape_of(n) for n in range(len(g)) if g.op_of(n) in ("corr2d", "kgrad_corr")
+             and n not in consumed | returned]
+    assert stray == []
 
 
 RESIDUAL_SPECS = {
