@@ -3,6 +3,7 @@ import pytest
 
 from gradleak import (
     Activation,
+    AttackConfig,
     CapabilityError,
     ContractError,
     Conv,
@@ -22,8 +23,10 @@ from gradleak import (
     grad,
     meta_grad,
     one_hot,
+    victim_gradient,
 )
 from gradleak import _kernels as kern
+from gradleak.attack import _build_attack_graph
 from gradleak.flsim import gradient_plan
 from gradleak.ops import softmax
 from oracles import fd_gradient, rel_err
@@ -111,6 +114,7 @@ def test_gradient_of_gradient_scalar():
 @pytest.mark.parametrize("case", [
     "sigmoid", "relu", "exp", "log", "reciprocal", "add", "sub", "mul", "neg",
     "scale", "sum_fill", "reshape", "matvec", "matvec_t", "outer",
+    "pad_crop", "crop", "crop_corr", "crop_into_pad",
     "corr2d", "corr2d_pad", "corr2d_crop", "kgrad_corr", "kgrad_corr_pad", "kgrad_corr_crop",
     "rotswap", "sslice_dilate",
     "avg_pool", "avg_unpool", "softmax", "cross_entropy", "sq_diff_sum",
@@ -164,6 +168,26 @@ def test_primitive_gradients_match_finite_differences(case):
         v = g.variable("v", (4,))
         node = g.outer(u, v)
         bindings = {"u": _rand(rng, (3,)), "v": _rand(rng, (4,))}
+    elif case in ("pad_crop", "crop", "crop_into_pad"):
+        # a pad of 2 then a crop of 1 is margin +1; a crop of 2, or a pad of 1
+        # then a crop of 3, is margin -2; a 1x1 kernel keeps every pixel
+        shape, margin, out = {
+            "pad_crop": ((4, 5, 2), 1, (6, 7, 2)),
+            "crop": ((6, 5, 2), -2, (2, 1, 2)),
+            "crop_into_pad": ((7, 6, 2), -2, (3, 2, 2)),
+        }[case]
+        a = g.variable("a", shape)
+        k = g.variable("k", (1, 1, 2, 2))
+        node = g.corr2d(a, k, margin)
+        assert g.shape_of(node) == out
+        bindings = {"a": _rand(rng, shape), "k": _rand(rng, (1, 1, 2, 2))}
+    elif case == "crop_corr":
+        # the input gradient of a padding-1, 3x3 conv: margin 3-1-1 = 1
+        x = g.variable("x", (4, 4, 2))
+        k = g.variable("k", (3, 3, 2, 3))
+        node = g.corr2d(x, k, 1)
+        assert g.shape_of(node) == (4, 4, 3)
+        bindings = {"x": _rand(rng, (4, 4, 2)), "k": _rand(rng, (3, 3, 2, 3))}
     elif case in ("corr2d", "corr2d_pad", "corr2d_crop"):
         # margins 0, +2 (zero-padded input) and -1 (cropped input)
         margin, side = {"corr2d": (0, 5), "corr2d_pad": (2, 3), "corr2d_crop": (-1, 7)}[case]
@@ -558,6 +582,30 @@ def test_grad_leaves_no_correlation_without_a_consumer():
     stray = [g.shape_of(n) for n in range(len(g)) if g.op_of(n) in ("corr2d", "kgrad_corr")
              and n not in consumed | returned]
     assert stray == []
+
+
+def _gd_and_gn_plans():
+    spec = default_attack_spec(12, 12, 1, 2)
+    params = build_model(spec, SeedRng(5))
+    truth = Tensor(_rand(SeedRng(6), spec.input_shape) * 0.5 + 0.5)
+    bundle = victim_gradient(params, truth, one_hot(1, 2))
+    plans = {}
+    for variant in ("baseline", "improved"):
+        ag = _build_attack_graph(params, bundle, AttackConfig(variant=variant))
+        meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
+        plans[variant] = (ag.graph, [ag.distance, meta[ag.x], meta[ag.y]])
+    plans["gn_residual"] = _gradient_plan_nodes(params, truth, one_hot(1, 2))
+    return plans
+
+
+@pytest.mark.parametrize("plan", ["baseline", "improved", "gn_residual"])
+def test_default_spec_attack_plans_hold_no_crop(plan):
+    # padding k//2 of the default spec puts every correlation, forward or
+    # backward, at margin >= 0: no gradient is computed and then cropped
+    g, outputs = _gd_and_gn_plans()[plan]
+    corrs = [g.node(n) for n in g._ancestors(outputs) if g.op_of(n) in ("corr2d", "kgrad_corr")]
+    assert {n.op for n in corrs} == {"corr2d", "kgrad_corr"}
+    assert [n.params[0] for n in corrs if n.params[0] < 0] == []
 
 
 RESIDUAL_SPECS = {
