@@ -10,7 +10,9 @@ Three attacks live here:
   distance to the captured gradient, and moves both virtual tensors to shrink
   it. The default update is plain fixed-step descent on the distance's own
   gradient, which differentiates through the inner gradient computation
-  (hence the second-order machinery in `graph`). Because the distance's
+  (hence the second-order machinery in `graph`). Its graph depends on the
+  model alone: the captured tensors are bound to variables "T:<name>" at
+  evaluation, as the data the distance matches. Because the distance's
   curvature spans many orders of magnitude on CNNs, there is also a damped
   least-squares update (`optimizer="gauss_newton"`) that reaches pixel-exact
   reconstructions in tens of iterations where fixed-step descent stalls. It
@@ -148,30 +150,19 @@ class AttackTrace:
         return [r.distance for r in self.records]
 
 
-def gradient_distance(g: ExprGraph, virtual_grads: Mapping[str, NodeId],
-                      true_bundle: GradientBundle) -> NodeId:
-    """Append sum of squared element-wise gradient differences to g.
+def gradient_distance(g: ExprGraph, virtual_grads: Mapping[str, NodeId]) -> NodeId:
+    """Append the sum of squared element-wise gradient differences to g.
 
-    `virtual_grads` maps tensor names to gradient nodes already in the graph;
-    the captured gradients enter as constants. The resulting scalar node is
-    designated as the graph output and returned.
+    `virtual_grads` maps tensor names to gradient nodes already in the
+    graph. Each is compared with a new variable "T:<name>" of its shape, to
+    which the captured tensor is bound, so the graph serves any capture.
+    Returns the scalar sum node, summed in `virtual_grads` order.
     """
-    if set(virtual_grads) != set(true_bundle.names()):
-        raise IncompatibilityError(
-            f"gradient_distance: tensor names differ "
-            f"({sorted(virtual_grads)} vs {sorted(true_bundle.names())})"
-        )
     total: NodeId | None = None
-    for name, tensor in true_bundle.tensors:
-        vnode = virtual_grads[name]
-        if g.shape_of(vnode) != tensor.shape:
-            raise IncompatibilityError(
-                f"gradient_distance: tensor {name!r} has graph shape "
-                f"{g.shape_of(vnode)} but bundle shape {tensor.shape}"
-            )
-        term = g.sq_diff_sum(vnode, g.constant(tensor))
+    for name, vnode in virtual_grads.items():
+        term = g.sq_diff_sum(vnode, g.variable(f"T:{name}", g.shape_of(vnode)))
         total = term if total is None else g.add(total, term)
-    return g.set_output(total)
+    return total
 
 
 def bundle_sq_distance(a: GradientBundle, b: GradientBundle) -> float:
@@ -272,8 +263,8 @@ def _check_compatible(spec: ModelSpec, params: ModelParams, target: GradientBund
             f"attack: bundle digest {target.digest:#018x} does not match model spec "
             f"digest {spec.digest:#018x}"
         )
-    wanted = {name: t.shape for name, t in params.flat()}
-    found = {name: t.shape for name, t in target.tensors}
+    wanted = [(name, t.shape) for name, t in params.flat()]
+    found = [(name, t.shape) for name, t in target.tensors]
     if found != wanted:
         raise IncompatibilityError(
             f"attack: bundle tensors {found} do not match the model parameters {wanted}"
@@ -286,12 +277,14 @@ class _AttackGraph:
     x: NodeId
     y: NodeId
     distance: NodeId
+    objective: NodeId
 
 
-def _build_attack_graph(params: ModelParams, target: GradientBundle,
-                        cfg: AttackConfig) -> _AttackGraph:
+def _build_attack_graph(params: ModelParams, cfg: AttackConfig) -> _AttackGraph:
     """The gd objective: the gradient distance at the virtual image and the
-    softmax of the virtual logits, plus the mean anchor under `improved`."""
+    softmax of the virtual logits, plus the mean anchor under `improved`.
+    The capture is bound as "T:<name>", so the graph depends on the model
+    alone."""
     spec = params.spec
     g = ExprGraph()
     xv = g.variable("x", spec.input_shape)
@@ -300,14 +293,13 @@ def _build_attack_graph(params: ModelParams, target: GradientBundle,
     virtual_target = g.softmax(yv)
     logits = build_logits(g, spec, xv, param_nodes)
     loss = g.cross_entropy_logits(logits, virtual_target)
-    g.set_output(loss)
-    loss_grads = grad(g, wrt=param_nodes.values())
+    loss_grads = grad(g, wrt=param_nodes.values(), of=loss)
     virtual = {name: loss_grads[node] for name, node in param_nodes.items()}
-    distance = gradient_distance(g, virtual, target)
+    distance = gradient_distance(g, virtual)
+    objective = distance
     if cfg.variant == "improved" and cfg.lambda_mean > 0:
-        # the objective that meta_grad differentiates
-        g.set_output(g.add(distance, mean_anchor_penalty(g, xv, cfg.lambda_mean)))
-    return _AttackGraph(g, xv, yv, distance)
+        objective = g.add(distance, mean_anchor_penalty(g, xv, cfg.lambda_mean))
+    return _AttackGraph(g, xv, yv, distance, objective)
 
 
 # each stepper is built at the starting point and holds the current image
@@ -322,10 +314,11 @@ class _GdStepper:
     halving trials included."""
 
     def __init__(self, params: ModelParams, target: GradientBundle, cfg: AttackConfig, x, y):
-        ag = _build_attack_graph(params, target, cfg)
-        meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
+        ag = _build_attack_graph(params, cfg)
+        meta = meta_grad(ag.graph, wrt=(ag.x, ag.y), of=ag.objective)
         self._eval = ag.graph.evaluator([ag.distance, meta[ag.x], meta[ag.y]])
         self._bindings = {name: t.array for name, t in params.flat()}
+        self._bindings.update((f"T:{name}", t.array) for name, t in target.tensors)
         self._halve = cfg.halve_on_increase
         self._eta = cfg.eta
         self.step_events = 0

@@ -67,7 +67,7 @@ def gradient_plan(params: ModelParams, x: Tensor, target_probs: Tensor):
     spec and the parameter shapes, so it serves any later bindings too.
     """
     lg = forward_loss(params, x, target_probs)
-    grads = grad(lg.graph, wrt=lg.param_nodes.values())
+    grads = grad(lg.graph, wrt=lg.param_nodes.values(), of=lg.loss)
     return lg.graph.evaluator([grads[node] for node in lg.param_nodes.values()]), lg.bindings
 
 

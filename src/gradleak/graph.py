@@ -2,12 +2,12 @@
 
 A graph is an append-only list of nodes; every node's inputs have smaller
 ids, so ascending id order is already a topological order. `grad` walks the
-consumers of a scalar output in reverse and emits the adjoint of each node
-as *new nodes in the same graph*. Because every derivative rule is written
-in terms of registered primitives, the result of `grad` can be fed straight
-back into `grad`, which is how the attack differentiates through a gradient
-(its update needs the derivative of a gradient-matching distance whose value
-already contains first-order gradients).
+ancestors of the scalar node it is given in reverse and emits the adjoint
+of each node as *new nodes in the same graph*. Because every derivative
+rule is written in terms of registered primitives, the result of `grad` can
+be fed straight back into `grad`, which is how the attack differentiates
+through a gradient (its update needs the derivative of a gradient-matching
+distance whose value already contains first-order gradients).
 
 Shapes are static: builders infer and check them at construction time, so a
 mis-wired model fails when it is assembled, not mid-evaluation.
@@ -57,13 +57,13 @@ _VJP: dict[str, Callable] = {}
 
 
 class ExprGraph:
-    """Append-only expression graph over float64 arrays with one scalar output."""
+    """Append-only expression graph over float64 arrays. It designates no
+    output: `grad` and `evaluator` take the nodes they work on."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._index: dict[tuple, NodeId] = {}
         self._vars: dict[str, NodeId] = {}
-        self._output: NodeId | None = None
 
     # ------------------------------------------------------------------ basics
 
@@ -78,20 +78,6 @@ class ExprGraph:
 
     def op_of(self, nid: NodeId) -> str:
         return self._nodes[nid].op
-
-    @property
-    def output(self) -> NodeId:
-        if self._output is None:
-            raise ContractError("graph has no designated output node")
-        return self._output
-
-    def set_output(self, nid: NodeId) -> NodeId:
-        if self._nodes[nid].shape != ():
-            raise ContractError(
-                f"output node must be scalar, node {nid} has shape {self._nodes[nid].shape}"
-            )
-        self._output = nid
-        return nid
 
     def variables(self) -> Mapping[str, NodeId]:
         return dict(self._vars)
@@ -441,29 +427,28 @@ def _bound(bindings: Mapping[str, np.ndarray | Stack], name: str) -> np.ndarray 
 # --------------------------------------------------------------------- grad
 
 
-def grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId | None = None) -> dict[NodeId, NodeId]:
-    """Reverse-mode gradient of the graph's scalar output.
+def grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId) -> dict[NodeId, NodeId]:
+    """Reverse-mode gradient of the scalar node `of`.
 
     Returns {variable node id -> gradient node id}; the gradient nodes live
     in the same graph and can be differentiated again. Variables that cannot
-    reach the output get a zero constant of their own shape.
+    reach `of` get a zero constant of their own shape.
     """
-    out = graph.output if of is None else of
-    if graph.shape_of(out) != ():
+    if graph.shape_of(of) != ():
         raise ContractError(
-            f"grad: output must be scalar, node {out} has shape {graph.shape_of(out)}"
+            f"grad: output must be scalar, node {of} has shape {graph.shape_of(of)}"
         )
     wanted = list(wrt)
     for v in wanted:
         if graph.op_of(v) != "var":
             raise ContractError(f"grad: node {v} ({graph.op_of(v)}) is not a variable leaf")
 
-    ancestors = graph._ancestors([out])
-    contribs: dict[NodeId, list[NodeId]] = {out: [graph.constant(np.ones(()))]}
+    ancestors = graph._ancestors([of])
+    contribs: dict[NodeId, list[NodeId]] = {of: [graph.constant(np.ones(()))]}
     gradient_of: dict[NodeId, NodeId] = {}
 
     # consumers always have larger ids, so one descending sweep settles every adjoint
-    for nid in range(out, -1, -1):
+    for nid in range(of, -1, -1):
         if nid not in ancestors or nid not in contribs:
             continue
         # summed pairwise, ((p0 + p1) + (p2 + p3)) + ...; float addition does not
@@ -491,14 +476,14 @@ def grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId | None = None) -> d
     return result
 
 
-def meta_grad(graph: ExprGraph, wrt: Iterable[NodeId]) -> dict[NodeId, NodeId]:
-    """Gradient of a distance graph whose output already embeds gradients.
+def meta_grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId) -> dict[NodeId, NodeId]:
+    """Gradient of `of`, a distance whose value already embeds gradients.
 
     Mechanically identical to `grad`; the separate name marks the
     second-order use. Raises CapabilityError naming the primitive if the
     walk reaches an op without a derivative rule.
     """
-    return grad(graph, wrt)
+    return grad(graph, wrt, of)
 
 
 # ------------------------------------------------------------ eval registry

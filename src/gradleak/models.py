@@ -387,9 +387,8 @@ def forward_loss(params: ModelParams, x: Tensor, target_probs: Tensor) -> LossGr
     param_nodes = {name: g.variable(name, t.shape) for name, t in params.flat()}
     logits = build_logits(g, spec, xv, param_nodes)
     target = g.variable("target", target_probs.shape)
-    loss = g.cross_entropy_logits(logits, target)
-    g.set_output(loss)
-    return LossGraph(g, loss, xv, param_nodes, loss_bindings(params, x, target_probs))
+    return LossGraph(g, g.cross_entropy_logits(logits, target), xv, param_nodes,
+                     loss_bindings(params, x, target_probs))
 
 
 def default_attack_spec(h: int, w: int, c: int, m: int) -> ModelSpec:

@@ -78,8 +78,7 @@ def test_criterion_01_analytic_reconstruction_exactness():
         x = _uniform(rng, (n,))
         mix = g.constant(_uniform(rng, (m,), 0.2, 1.0))
         loss = g.sum_all(g.mul(mix, g.sigmoid(g.affine(w, g.constant(x), b))))
-        g.set_output(loss)
-        gm = grad(g, [w, b])
+        gm = grad(g, [w, b], of=loss)
         bindings = {"w": _uniform(rng, (m, n)), "b": _uniform(rng, (m,))}
         gw, gb = g.evaluator([gm[w], gm[b]])(bindings)
         recovered = fc_analytic_reconstruct(gw, gb).array
@@ -148,8 +147,7 @@ def test_criterion_02_first_order_gradients():
         if g.shape_of(out) != ():
             proj = g.constant(_uniform(rng, g.shape_of(out)))
             out = g.sum_all(g.mul(out, proj))
-        g.set_output(out)
-        gm = grad(g, nodes.values())
+        gm = grad(g, nodes.values(), of=out)
         run_out = g.evaluator([out])
         run_grads = g.evaluator([gm[nodes[vn]] for vn in var_shapes])
         var_names = list(var_shapes)
@@ -182,7 +180,7 @@ def test_criterion_02_first_order_gradients():
     rng = SeedRng(203)
     x = Tensor(_uniform(rng, (16, 16, 1), 0.0, 1.0))
     lg = forward_loss(params, x, one_hot(1, 2))
-    gm = grad(lg.graph, [lg.x, *lg.param_nodes.values()])
+    gm = grad(lg.graph, [lg.x, *lg.param_nodes.values()], of=lg.loss)
     names = ["x"] + list(lg.param_nodes)
     nodes = {"x": lg.x, **lg.param_nodes}
     run_loss = lg.graph.evaluator([lg.loss])
@@ -220,12 +218,13 @@ def _meta_grad_fd_check(spec, seed):
     x = Tensor(_uniform(rng, spec.input_shape, 0.0, 1.0))
     bundle = victim_gradient(params, x, one_hot(0, spec.classes))
     cfg = AttackConfig(eta=1.0, iterations=1, checkpoints=(1,))
-    ag = _build_attack_graph(params, bundle, cfg)
-    meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
+    ag = _build_attack_graph(params, cfg)
+    meta = meta_grad(ag.graph, wrt=(ag.x, ag.y), of=ag.objective)
     bindings = {name: t.array for name, t in params.flat()}
+    bindings.update((f"T:{name}", t.array) for name, t in bundle.tensors)
     bindings["x"] = SeedRng(seed + 2).normal_array(spec.input_shape)
     bindings["y"] = SeedRng(seed + 3).normal_array((spec.classes,))
-    run_dist = ag.graph.evaluator([ag.graph.output])
+    run_dist = ag.graph.evaluator([ag.objective])
     gx, gy = ag.graph.evaluator([meta[ag.x], meta[ag.y]])(bindings)
 
     worst = 0.0

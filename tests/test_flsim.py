@@ -92,7 +92,7 @@ def test_gradient_under_zero_input_and_zero_params_matches_fd():
     assert np.allclose(bundle.get("fc1.B").array, [-0.5, 0.5], atol=1e-15)
 
     lg = forward_loss(params, x, one_hot(0, 2))
-    gm = grad(lg.graph, lg.param_nodes.values())
+    gm = grad(lg.graph, lg.param_nodes.values(), of=lg.loss)
     run = lg.graph.evaluator([lg.loss])
     for name, node in lg.param_nodes.items():
         got = lg.graph.evaluator([gm[node]])(lg.bindings)[0]
@@ -112,7 +112,7 @@ def test_victim_gradient_is_deterministic():
 def _oracle_bundle(params, x, target, client_id=0, round_index=0):
     """victim_gradient as a fresh graph, gradient and plan for every call."""
     lg = forward_loss(params, x, target)
-    grad_nodes = grad(lg.graph, wrt=lg.param_nodes.values())
+    grad_nodes = grad(lg.graph, wrt=lg.param_nodes.values(), of=lg.loss)
     names = list(lg.param_nodes)
     values = lg.graph.evaluator([grad_nodes[lg.param_nodes[n]] for n in names])(lg.bindings)
     return GradientBundle(params.spec.digest, client_id, round_index,

@@ -23,7 +23,6 @@ from gradleak import (
     grad,
     meta_grad,
     one_hot,
-    victim_gradient,
 )
 from gradleak import _kernels as kern
 from gradleak.attack import _build_attack_graph
@@ -40,9 +39,8 @@ def _rand(rng, shape, scale=1.0):
 
 def _check_fd(g, out, var_names, bindings, rtol=1e-5, h=1e-5, floor=1e-6):
     """Reverse-mode gradient vs central differences for every named variable."""
-    g.set_output(out)
     ids = {name: g.variables()[name] for name in var_names}
-    gm = grad(g, ids.values())
+    gm = grad(g, ids.values(), of=out)
     run_out = g.evaluator([out])
     run_grads = g.evaluator([gm[ids[name]] for name in var_names])
     analytic = run_grads(bindings)
@@ -57,8 +55,7 @@ def _check_fd(g, out, var_names, bindings, rtol=1e-5, h=1e-5, floor=1e-6):
 def test_power_rule():
     g = ExprGraph()
     x = g.variable("x", ())
-    g.set_output(g.mul(x, x))
-    gm = grad(g, [x])
+    gm = grad(g, [x], of=g.mul(x, x))
     val = g.eval({"x": np.asarray(3.0)}, [gm[x]])[0]
     assert val.item() == 6.0
 
@@ -75,8 +72,7 @@ def test_unreachable_variable_gets_zero_gradient():
     g = ExprGraph()
     x = g.variable("x", ())
     unused = g.variable("u", (3,))
-    g.set_output(g.mul(x, x))
-    gm = grad(g, [x, unused])
+    gm = grad(g, [x, unused], of=g.mul(x, x))
     val = g.eval({"x": np.asarray(2.0), "u": np.zeros(3)}, [gm[unused]])[0]
     assert val.tolist() == [0.0, 0.0, 0.0]
 
@@ -90,8 +86,7 @@ def test_affine_weight_gradient_is_bias_gradient_times_input():
     x = g.constant(_rand(rng, (4,)))
     weights = g.constant(_rand(rng, (3,)))
     loss = g.sum_all(g.mul(weights, g.sigmoid(g.affine(w, x, b))))
-    g.set_output(loss)
-    gm = grad(g, [w, b])
+    gm = grad(g, [w, b], of=loss)
     bindings = {"w": _rand(rng, (3, 4)), "b": _rand(rng, (3,))}
     gw, gb = (t.array for t in g.eval(bindings, [gm[w], gm[b]]))
     xval = g.node(x).payload
@@ -103,8 +98,7 @@ def test_gradient_of_gradient_scalar():
     g = ExprGraph()
     x = g.variable("x", ())
     f = g.mul(g.mul(x, x), x)
-    g.set_output(f)
-    first = grad(g, [x])[x]
+    first = grad(g, [x], of=f)[x]
     second = grad(g, [x], of=first)[x]
     third = grad(g, [x], of=second)[x]
     vals = g.eval({"x": np.asarray(2.0)}, [f, first, second, third])
@@ -249,8 +243,7 @@ def test_second_derivative_matches_finite_differences_of_gradient():
     x = g.variable("x", (3,))
     w = g.constant(_rand(rng, (3, 3)))
     loss = g.sum_all(g.sigmoid(g.matvec(w, x)))
-    g.set_output(loss)
-    first = grad(g, [x])[x]
+    first = grad(g, [x], of=loss)[x]
     probe = g.constant(_rand(rng, (3,)))
     scalar_first = g.sum_all(g.mul(first, probe))
     second = grad(g, [x], of=scalar_first)[x]
@@ -273,8 +266,7 @@ def test_closure_under_double_differentiation_for_model_primitives():
     feat = g.avg_pool2d(g.sigmoid(g.conv2d(x, k, stride=1, zero_padding=1)), 3, 3)
     logits = g.affine(w, g.reshape(feat, (8,)), b)
     loss = g.cross_entropy(g.softmax(logits), g.constant(np.array([0.5, 0.25, 0.2, 0.05])))
-    g.set_output(loss)
-    first = grad(g, [x, k, w, b])
+    first = grad(g, [x, k, w, b], of=loss)
     score = None
     for node in first.values():
         term = g.sum_all(g.mul(node, node))
@@ -296,8 +288,7 @@ def test_closure_under_double_differentiation_for_model_primitives():
 def test_relu_second_derivative_is_zero():
     g = ExprGraph()
     x = g.variable("x", (4,))
-    g.set_output(g.sum_all(g.relu(x)))
-    first = grad(g, [x])[x]
+    first = grad(g, [x], of=g.sum_all(g.relu(x)))[x]
     second = grad(g, [x], of=g.sum_all(first))[x]
     val = g.eval({"x": np.array([-2.0, -0.5, 0.5, 2.0])}, [second])[0]
     assert val.tolist() == [0.0, 0.0, 0.0, 0.0]
@@ -306,17 +297,15 @@ def test_relu_second_derivative_is_zero():
 def test_missing_derivative_rule_names_the_primitive():
     g = ExprGraph()
     x = g.variable("x", (3,))
-    g.set_output(g.max_all(x))
     with pytest.raises(CapabilityError, match="max_all"):
-        grad(g, [x])
+        grad(g, [x], of=g.max_all(x))
 
 
 def test_stop_grad_blocks_flow_but_keeps_value():
     g = ExprGraph()
     x = g.variable("x", ())
     y = g.mul(x, g.stop_grad(x))  # d/dx = stop_grad(x) only
-    g.set_output(y)
-    gm = grad(g, [x])
+    gm = grad(g, [x], of=y)
     val, gval = (t.item() for t in g.eval({"x": np.asarray(3.0)}, [y, gm[x]]))
     assert val == 9.0
     assert gval == 3.0
@@ -330,15 +319,13 @@ def test_meta_grad_zero_at_exact_match():
     x = g.variable("x", (3,))
     w = g.variable("w", (2, 3))
     loss = g.sum_all(g.sigmoid(g.matvec(w, x)))
-    g.set_output(loss)
-    gw = grad(g, [w])[w]
+    gw = grad(g, [w], of=loss)[w]
 
     x0 = _rand(rng, (3,))
     w0 = _rand(rng, (2, 3))
     true_gw = g.evaluator([gw])({"x": x0, "w": w0})[0]
     dist = g.sq_diff_sum(gw, g.constant(true_gw))
-    g.set_output(dist)
-    meta = meta_grad(g, [x])
+    meta = meta_grad(g, [x], of=dist)
     dval, mval = g.eval({"x": x0, "w": w0}, [dist, meta[x]])
     assert dval.item() == 0.0
     assert np.abs(mval.array).max() == 0.0
@@ -357,11 +344,9 @@ def test_meta_grad_matches_hand_expansion_for_scalar_model():
     f = g.mul(w, x)
     resid = g.sub(f, t)
     loss = g.mul(resid, resid)
-    g.set_output(loss)
-    dw = grad(g, [w])[w]
+    dw = grad(g, [w], of=loss)[w]
     dist = g.sq_diff_sum(dw, g.constant(np.asarray(c0)))
-    g.set_output(dist)
-    meta = meta_grad(g, [x])
+    meta = meta_grad(g, [x], of=dist)
 
     for xv in (-1.2, 0.05, 0.8, 2.5):
         got = g.eval({"x": np.asarray(xv), "w": np.asarray(w0)}, [meta[x]])[0].item()
@@ -382,8 +367,7 @@ def test_meta_grad_matches_finite_differences_on_tiny_mlp():
     hidden = g.sigmoid(g.affine(w1, x, b1))
     logits = g.affine(w2, hidden, b2)
     loss = g.cross_entropy(g.softmax(logits), g.softmax(y))
-    g.set_output(loss)
-    first = grad(g, [w2, b2])
+    first = grad(g, [w2, b2], of=loss)
 
     w2_0 = _rand(rng, (2, 3))
     b2_0 = _rand(rng, (2,))
@@ -394,8 +378,7 @@ def test_meta_grad_matches_finite_differences_on_tiny_mlp():
         g.sq_diff_sum(first[w2], g.constant(truth[0])),
         g.sq_diff_sum(first[b2], g.constant(truth[1])),
     )
-    g.set_output(dist)
-    meta = meta_grad(g, [x, y])
+    meta = meta_grad(g, [x, y], of=dist)
 
     bindings = {"x": _rand(rng, (2,)), "y": _rand(rng, (2,)), "w2": w2_0, "b2": b2_0}
     run_dist = g.evaluator([dist])
@@ -409,11 +392,11 @@ def test_meta_grad_matches_finite_differences_on_tiny_mlp():
 def test_eval_rejects_bad_bindings():
     g = ExprGraph()
     x = g.variable("x", (2,))
-    g.set_output(g.sum_all(x))
+    out = g.sum_all(x)
     with pytest.raises(ContractError, match="binding"):
-        g.eval({}, [g.output])
+        g.eval({}, [out])
     with pytest.raises(ShapeError):
-        g.eval({"x": np.zeros(3)}, [g.output])
+        g.eval({"x": np.zeros(3)}, [out])
 
 
 def test_build_time_shape_errors():
@@ -564,8 +547,7 @@ def test_grad_sums_a_nodes_contributions_pairwise():
     g = ExprGraph()
     x = g.variable("x", (2,))
     terms = [g.sum_all(g.scale(x, c)) for c in (1.0, 2.0, 3.0, 4.0)]
-    g.set_output(g.add(g.add(terms[0], terms[1]), g.add(terms[2], terms[3])))
-    gx = grad(g, [x])[x]
+    gx = grad(g, [x], of=g.add(g.add(terms[0], terms[1]), g.add(terms[2], terms[3])))[x]
     assert [g.op_of(i) for i in g.node(gx).inputs] == ["add", "add"]
     assert g.eval({"x": np.zeros(2)}, [gx])[0].tolist() == [10.0, 10.0]
 
@@ -577,7 +559,7 @@ def test_grad_leaves_no_correlation_without_a_consumer():
     params = build_model(spec, SeedRng(5))
     lg = forward_loss(params, Tensor(np.full(spec.input_shape, 0.5)), one_hot(1, 2))
     g = lg.graph
-    returned = set(grad(g, wrt=g.variables().values()).values())
+    returned = set(grad(g, wrt=g.variables().values(), of=lg.loss).values())
     consumed = {i for n in range(len(g)) for i in g.node(n).inputs}
     stray = [g.shape_of(n) for n in range(len(g)) if g.op_of(n) in ("corr2d", "kgrad_corr")
              and n not in consumed | returned]
@@ -588,11 +570,10 @@ def _gd_and_gn_plans():
     spec = default_attack_spec(12, 12, 1, 2)
     params = build_model(spec, SeedRng(5))
     truth = Tensor(_rand(SeedRng(6), spec.input_shape) * 0.5 + 0.5)
-    bundle = victim_gradient(params, truth, one_hot(1, 2))
     plans = {}
     for variant in ("baseline", "improved"):
-        ag = _build_attack_graph(params, bundle, AttackConfig(variant=variant))
-        meta = meta_grad(ag.graph, wrt=(ag.x, ag.y))
+        ag = _build_attack_graph(params, AttackConfig(variant=variant))
+        meta = meta_grad(ag.graph, wrt=(ag.x, ag.y), of=ag.objective)
         plans[variant] = (ag.graph, [ag.distance, meta[ag.x], meta[ag.y]])
     plans["gn_residual"] = _gradient_plan_nodes(params, truth, one_hot(1, 2))
     return plans

@@ -230,7 +230,7 @@ def test_forward_loss_gradients_match_finite_differences():
     rng = SeedRng(18)
     x = Tensor(np.array([rng.uniform() for _ in range(64)]).reshape(8, 8, 1))
     lg = forward_loss(params, x, one_hot(1, 2))
-    gm = grad(lg.graph, lg.param_nodes.values())
+    gm = grad(lg.graph, lg.param_nodes.values(), of=lg.loss)
     run_loss = lg.graph.evaluator([lg.loss])
     for name, node in lg.param_nodes.items():
         got = lg.graph.evaluator([gm[node]])(lg.bindings)[0]

@@ -2,8 +2,9 @@
 
 The tracer patches module attributes by name, so a refactor that renames or
 drops one of them breaks `perfbench/run.py --trace 1` without any other test
-noticing. This test installs it, runs a Gauss-Newton attack through the
-wrapped entry points and checks that everything is put back.
+noticing. These tests install it, run Gauss-Newton and gradient-descent
+attacks through the wrapped entry points, and check what it records and
+that everything is put back.
 """
 
 import importlib.util
@@ -82,3 +83,32 @@ def test_tracer_installs_counts_stacked_evaluations_and_restores(monkeypatch):
     assert len(row_calls) >= 1 + blocks + cfg.iterations
     assert names.count("graph.eval.resid") == len(row_calls)
     assert tracer.counts[0]["attack.gn.trial_steps"] >= cfg.iterations
+
+
+def test_tracer_records_the_gd_step_plans():
+    # a 2-iteration dlg_attack and improved_dlg: both step plans are recorded
+    # at their node counts, the distance is built and differentiated inside
+    # the wrapped builders, and the samples are those of untraced runs
+    tracer = _load_tracer().Tracer()
+    spec = default_attack_spec(12, 12, 1, 2)
+    params = build_model(spec, SeedRng(3))
+    x = synth_image("blocks", 12, 12, 1, 3).to_tensor()
+    bundle = victim_gradient(params, x, one_hot(1, 2))
+    cfg = AttackConfig(iterations=2, seed=4, checkpoints=(2,))
+    attacks = ("dlg_attack", "improved_dlg")
+    want = [getattr(gradleak.attack, a)(spec, params, bundle, cfg)[0] for a in attacks]
+
+    tracer.begin_op(0)
+    try:
+        got = [getattr(gradleak.attack, a)(spec, params, bundle, cfg)[0] for a in attacks]
+    finally:
+        tracer.end_op()
+
+    for traced, untraced in zip(got, want):
+        assert np.array_equal(traced.x_virtual.array, untraced.x_virtual.array)
+        assert np.array_equal(traced.y_virtual.array, untraced.y_virtual.array)
+    assert tracer.plans["gd_step_dlg"][0] == 155
+    assert tracer.plans["gd_step_improved"][0] == 169
+    names = {tracer.names[i] for i in tracer.span_name}
+    assert {"graph.grad", "graph.meta_grad", "graph.build.build_logits",
+            "graph.build.gradient_distance", "graph.build.mean_anchor_penalty"} <= names
