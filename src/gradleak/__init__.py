@@ -68,6 +68,7 @@ from .models import (
     build_model,
     default_attack_spec,
     forward_loss,
+    loss_bindings,
     one_hot,
     parse_model_text,
 )

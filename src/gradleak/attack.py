@@ -26,7 +26,8 @@ Three attacks live here:
 `infer_label_from_bundle` reads the victim's label straight off the final
 layer's bias gradient: under softmax cross-entropy with batch size 1 the
 true class is the only strictly negative entry. `label_from_gradient_sign`
-is the same rule after a digest check against the model spec.
+is the same rule after checking the bundle against the model spec: its
+digest, and its tensor names and shapes in the spec's order.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .errors import (
 from .graph import ExprGraph, NodeId, Stack, grad, meta_grad
 from .flsim import GradientBundle, gradient_plan
 from .metrics import ImagePair, mse_255, mse_unit
-from .models import ModelParams, ModelSpec, build_logits, one_hot
-from .tensor import SeedRng, Tensor, as_array
+from .models import ModelParams, ModelSpec, build_logits, loss_bindings, one_hot
+from .tensor import SeedRng, Shape, Tensor, as_array
 
 VARIANTS = ("baseline", "improved")
 OPTIMIZERS = ("gd", "gauss_newton")
@@ -245,30 +246,34 @@ def infer_label_from_bundle(target: GradientBundle) -> int:
     return int(neg[0])
 
 
-def label_from_gradient_sign(target: GradientBundle, spec: ModelSpec) -> int:
-    """`infer_label_from_bundle` on a bundle checked against the spec's digest."""
+def _check_bundle(who: str, target: GradientBundle, spec: ModelSpec,
+                  wanted: list[tuple[str, Shape]]) -> None:
+    """Raise IncompatibilityError unless the bundle has the spec's digest and
+    its tensors are `wanted`'s (name, shape) pairs, in that order."""
     if target.digest != spec.digest:
         raise IncompatibilityError(
-            f"label_from_gradient_sign: bundle digest {target.digest:#018x} does not "
-            f"match spec digest {spec.digest:#018x}"
+            f"{who}: bundle digest {target.digest:#018x} does not match model spec "
+            f"digest {spec.digest:#018x}"
         )
+    found = [(name, t.shape) for name, t in target.tensors]
+    if found != wanted:
+        raise IncompatibilityError(
+            f"{who}: bundle tensors {found} do not match, by name, shape and order, "
+            f"the model parameters {wanted}"
+        )
+
+
+def label_from_gradient_sign(target: GradientBundle, spec: ModelSpec) -> int:
+    """`infer_label_from_bundle` on a bundle checked against the spec: its
+    digest, and its parameter names and shapes in the spec's order."""
+    _check_bundle("label_from_gradient_sign", target, spec, list(spec.param_shapes().items()))
     return infer_label_from_bundle(target)
 
 
 def _check_compatible(spec: ModelSpec, params: ModelParams, target: GradientBundle) -> None:
     if params.spec.digest != spec.digest:
         raise IncompatibilityError("attack: params were built for a different model spec")
-    if target.digest != spec.digest:
-        raise IncompatibilityError(
-            f"attack: bundle digest {target.digest:#018x} does not match model spec "
-            f"digest {spec.digest:#018x}"
-        )
-    wanted = [(name, t.shape) for name, t in params.flat()]
-    found = [(name, t.shape) for name, t in target.tensors]
-    if found != wanted:
-        raise IncompatibilityError(
-            f"attack: bundle tensors {found} do not match the model parameters {wanted}"
-        )
+    _check_bundle("attack", target, spec, [(name, t.shape) for name, t in params.flat()])
 
 
 @dataclass(frozen=True)
@@ -374,9 +379,9 @@ class _GaussNewtonStepper:
     def __init__(self, params: ModelParams, label: int, cfg: AttackConfig,
                  target: GradientBundle, x):
         probs = one_hot(label, params.spec.classes)
-        self._eval, self._bindings = gradient_plan(params, Tensor(x), probs)
-        self._targets = np.concatenate([target.get(name).array.ravel()
-                                        for name, _ in params.flat()])
+        self._eval = gradient_plan(params)
+        self._bindings = loss_bindings(params, Tensor(x), probs)
+        self._targets = np.concatenate([t.array.ravel() for _, t in target.tensors])
         self.y = probs.array
         self._eta = cfg.eta
         self._shape = x.shape

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, IncompatibilityError, ParseError
 from .graph import grad
-from .models import ModelParams, check_loss_inputs, forward_loss, loss_bindings
+from .models import ModelParams, forward_loss, loss_bindings
 from .tensor import Tensor
 
 MAGIC = b"GLKB"
@@ -58,17 +58,17 @@ class GradientBundle:
         raise KeyError(name)
 
 
-def gradient_plan(params: ModelParams, x: Tensor, target_probs: Tensor):
+def gradient_plan(params: ModelParams):
     """Compile the loss gradient w.r.t. every parameter into one plan.
 
-    Returns the plan and its `loss_bindings` at (x, target_probs). The plan
-    returns one gradient per tensor of `params.flat()`, in that order, with
-    "x" bound to one point or to a `Stack` of them. It depends only on the
-    spec and the parameter shapes, so it serves any later bindings too.
+    The plan returns one gradient per tensor of `params.flat()`, in that
+    order, at `loss_bindings`, with "x" (and "target") bound to one point or
+    to a `Stack` of them. It depends only on the spec and the parameter
+    shapes, so it serves any inputs.
     """
-    lg = forward_loss(params, x, target_probs)
+    lg = forward_loss(params)
     grads = grad(lg.graph, wrt=lg.param_nodes.values(), of=lg.loss)
-    return lg.graph.evaluator([grads[node] for node in lg.param_nodes.values()]), lg.bindings
+    return lg.graph.evaluator([grads[node] for node in lg.param_nodes.values()])
 
 
 # The most recent victim-gradient plan, as (key, compiled plan). The clients
@@ -81,26 +81,22 @@ def victim_gradient(params: ModelParams, x: Tensor, target_probs: Tensor,
                     *, client_id: int = 0, round_index: int = 0) -> GradientBundle:
     """Gradient of the classification loss at (x, target) w.r.t. every parameter.
 
-    The gradient plan depends only on the spec and the parameter names and
-    shapes, so it is compiled once and reused while calls keep to one model.
+    The inputs are checked and bound by `loss_bindings`. The gradient plan
+    depends only on the spec and the parameter names and shapes, so it is
+    compiled once and reused while calls keep to one model.
     """
     global _plan
-    check_loss_inputs(params.spec, x, target_probs)
+    bindings = loss_bindings(params, x, target_probs)
     flat = params.flat()
-    names = [name for name, _ in flat]
     key = (params.spec, tuple((name, t.shape) for name, t in flat))
-    plan = _plan
-    if plan is None or plan[0] != key:
-        run, bindings = gradient_plan(params, x, target_probs)
-        plan = _plan = (key, run)
-    else:
-        bindings = loss_bindings(params, x, target_probs)
-    values = plan[1](bindings)
+    if _plan is None or _plan[0] != key:
+        _plan = (key, gradient_plan(params))
+    values = _plan[1](bindings)
     return GradientBundle(
         digest=params.spec.digest,
         client_id=client_id,
         round_index=round_index,
-        tensors=tuple((name, Tensor(v)) for name, v in zip(names, values)),
+        tensors=tuple((name, Tensor(v)) for (name, _), v in zip(flat, values)),
     )
 
 

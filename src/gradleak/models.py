@@ -339,20 +339,22 @@ class LossGraph:
     """A built classification loss: softmax of the logits against target
     probabilities, differentiable in the input and every parameter.
 
-    The input, the target and every parameter are variables, bound in
-    `bindings` under "x", "target" and the parameter names ('conv1.W', ...);
-    parameter names always hold a '.', so they never collide with the other two.
+    The input, the target and every parameter are variables, named "x",
+    "target" and the parameter names ('conv1.W', ...); parameter names always
+    hold a '.', so they never collide with the other two. `loss_bindings`
+    gives their values.
     """
 
     graph: ExprGraph
     loss: NodeId
     x: NodeId
     param_nodes: Mapping[str, NodeId]
-    bindings: Mapping[str, np.ndarray]
 
 
-def check_loss_inputs(spec: ModelSpec, x: Tensor, target_probs: Tensor) -> None:
-    """Raise ShapeError unless x fits the model input and target_probs its classes."""
+def loss_bindings(params: ModelParams, x: Tensor, target_probs: Tensor) -> dict[str, np.ndarray]:
+    """The values a `forward_loss` graph of these parameters evaluates at;
+    ShapeError unless x fits the model input and target_probs its classes."""
+    spec = params.spec
     if x.shape != spec.input_shape:
         raise ShapeError(
             f"forward_loss: input of shape {x.shape} does not match model input {spec.input_shape}"
@@ -362,33 +364,26 @@ def check_loss_inputs(spec: ModelSpec, x: Tensor, target_probs: Tensor) -> None:
             f"forward_loss: target of shape {target_probs.shape} does not match "
             f"{spec.classes} classes"
         )
-
-
-def loss_bindings(params: ModelParams, x: Tensor, target_probs: Tensor) -> dict[str, np.ndarray]:
-    """The values a `forward_loss` graph of these parameters evaluates at."""
     bindings = {name: t.array for name, t in params.flat()}
     bindings["x"] = x.array
     bindings["target"] = target_probs.array
     return bindings
 
 
-def forward_loss(params: ModelParams, x: Tensor, target_probs: Tensor) -> LossGraph:
+def forward_loss(params: ModelParams) -> LossGraph:
     """Build cross_entropy(softmax(logits(x)), target) as a graph.
 
-    The input, the target and all parameters enter as variables; `bindings`
-    carries their concrete values (the target as "target") so the graph
-    evaluates (or differentiates) immediately, and the graph itself depends
-    only on the spec and the parameter shapes.
+    The input, the target and all parameters enter as variables, so the
+    graph depends only on the spec and the parameter shapes; bind it with
+    `loss_bindings` at any input and target.
     """
     spec = params.spec
-    check_loss_inputs(spec, x, target_probs)
     g = ExprGraph()
     xv = g.variable("x", spec.input_shape)
     param_nodes = {name: g.variable(name, t.shape) for name, t in params.flat()}
     logits = build_logits(g, spec, xv, param_nodes)
-    target = g.variable("target", target_probs.shape)
-    return LossGraph(g, g.cross_entropy_logits(logits, target), xv, param_nodes,
-                     loss_bindings(params, x, target_probs))
+    target = g.variable("target", (spec.classes,))
+    return LossGraph(g, g.cross_entropy_logits(logits, target), xv, param_nodes)
 
 
 def default_attack_spec(h: int, w: int, c: int, m: int) -> ModelSpec:

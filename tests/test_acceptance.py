@@ -31,6 +31,7 @@ from gradleak import (
     grad,
     improved_dlg,
     label_from_gradient_sign,
+    loss_bindings,
     meta_grad,
     one_hot,
     serialize_bundle,
@@ -179,14 +180,14 @@ def test_criterion_02_first_order_gradients():
     params = build_model(spec, SeedRng(202))
     rng = SeedRng(203)
     x = Tensor(_uniform(rng, (16, 16, 1), 0.0, 1.0))
-    lg = forward_loss(params, x, one_hot(1, 2))
+    lg = forward_loss(params)
     gm = grad(lg.graph, [lg.x, *lg.param_nodes.values()], of=lg.loss)
     names = ["x"] + list(lg.param_nodes)
     nodes = {"x": lg.x, **lg.param_nodes}
     run_loss = lg.graph.evaluator([lg.loss])
     run_grads = lg.graph.evaluator([gm[nodes[n]] for n in names])
-    analytic = run_grads(lg.bindings)
-    bindings = dict(lg.bindings)
+    bindings = loss_bindings(params, x, one_hot(1, 2))
+    analytic = run_grads(bindings)
     for _ in range(100):
         vi = int(rng.uniform() * len(names))
         vn = names[vi]

@@ -30,6 +30,7 @@ from gradleak import (
     improved_dlg,
     infer_label_from_bundle,
     label_from_gradient_sign,
+    loss_bindings,
     mean_anchor_penalty,
     meta_grad,
     one_hot,
@@ -228,6 +229,16 @@ class TestLabelInference:
                              (("fc1.B", Tensor([-1.0, 0.5, 0.5])),))
         with pytest.raises(IncompatibilityError):
             label_from_gradient_sign(bad, spec)
+
+    @pytest.mark.parametrize("alter", sorted(ALTERED_TENSORS))
+    def test_bundle_tensors_must_match_the_spec(self, alter):
+        # the digest fits, but the tensors are not the spec's parameters in
+        # the spec's order; a reversed bundle would otherwise take 'conv1'
+        # for the final layer
+        spec, _, _, bundle = _victim_setup(5)
+        altered = replace(bundle, tensors=ALTERED_TENSORS[alter](bundle.tensors))
+        with pytest.raises(IncompatibilityError, match="bundle tensors .* order"):
+            label_from_gradient_sign(altered, spec)
 
 
 class TestAttackConfig:
@@ -612,10 +623,10 @@ def _wide_pad_victim():
 
 def test_wide_padding_victim_gradient_matches_central_differences():
     params, x, bundle = _wide_pad_victim()
-    lg = forward_loss(params, x, one_hot(1, 2))
+    lg = forward_loss(params)
     run = lg.graph.evaluator([lg.loss])
     for name, got in bundle.tensors:
-        want = fd_gradient(run, dict(lg.bindings), name)
+        want = fd_gradient(run, loss_bindings(params, x, one_hot(1, 2)), name)
         worst = max(rel_err(a, b, 1e-6) for a, b in zip(got.array.ravel(), want.ravel()))
         assert worst < 1e-5, f"{name}: worst relative error {worst}"
 

@@ -175,23 +175,40 @@ def test_attack_digest_mismatch_exits_2(workspace, capsys):
     assert not (tmp / "x").exists()
 
 
+def _altered_bundle(tmp, image, alter):
+    """A bundle whose digest fits the model, altered by ALTERED_TENSORS[alter]."""
+    spec = default_attack_spec(12, 12, 1, 2)
+    bundle = victim_gradient(build_model(spec, SeedRng(5)),
+                             read_image(image).to_tensor(), one_hot(0, 2))
+    grad_path = tmp / "g.glkb"
+    write_bundle(grad_path, replace(bundle, tensors=ALTERED_TENSORS[alter](bundle.tensors)))
+    return grad_path
+
+
 @pytest.mark.parametrize("optimizer", ["gd", "gauss-newton"])
 @pytest.mark.parametrize("alter", sorted(ALTERED_TENSORS))
 def test_attack_bundle_tensor_mismatch_exits_2_and_writes_nothing(workspace, capsys,
                                                                    optimizer, alter):
     # the digest fits the model, but one tensor does not fit its parameter
     tmp, model, image = workspace
-    spec = default_attack_spec(12, 12, 1, 2)
-    bundle = victim_gradient(build_model(spec, SeedRng(5)),
-                             read_image(image).to_tensor(), one_hot(0, 2))
-    grad_path = tmp / "g.glkb"
-    write_bundle(grad_path, replace(bundle, tensors=ALTERED_TENSORS[alter](bundle.tensors)))
+    grad_path = _altered_bundle(tmp, image, alter)
     out = tmp / "x"
     assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
                      "--model-seed", "5", "--seed", "1", "--iters", "2",
                      "--optimizer", optimizer, "--out", str(out)]) == 2
     assert "bundle tensors" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alter", sorted(ALTERED_TENSORS))
+def test_infer_label_bundle_tensor_mismatch_exits_2(workspace, capsys, alter):
+    # with --model, the tensors must be the model's parameters in its order
+    tmp, model, image = workspace
+    grad_path = _altered_bundle(tmp, image, alter)
+    assert cli_main(["infer-label", "--grad", str(grad_path), "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bundle tensors" in captured.err and "order" in captured.err
 
 
 def test_analytic_fc_and_infer_label(workspace, capsys):

@@ -24,6 +24,7 @@ from gradleak import (
     fc_analytic_reconstruct,
     forward_loss,
     grad,
+    loss_bindings,
     one_hot,
     serialize_bundle,
     synth_image,
@@ -91,12 +92,13 @@ def test_gradient_under_zero_input_and_zero_params_matches_fd():
     assert np.array_equal(bundle.get("fc1.W").array, np.zeros((2, 3)))
     assert np.allclose(bundle.get("fc1.B").array, [-0.5, 0.5], atol=1e-15)
 
-    lg = forward_loss(params, x, one_hot(0, 2))
+    lg = forward_loss(params)
+    bindings = loss_bindings(params, x, one_hot(0, 2))
     gm = grad(lg.graph, lg.param_nodes.values(), of=lg.loss)
     run = lg.graph.evaluator([lg.loss])
     for name, node in lg.param_nodes.items():
-        got = lg.graph.evaluator([gm[node]])(lg.bindings)[0]
-        want = fd_gradient(run, dict(lg.bindings), name)
+        got = lg.graph.evaluator([gm[node]])(bindings)[0]
+        want = fd_gradient(run, dict(bindings), name)
         assert np.allclose(got, want, rtol=1e-6, atol=1e-9), name
 
 
@@ -111,10 +113,11 @@ def test_victim_gradient_is_deterministic():
 
 def _oracle_bundle(params, x, target, client_id=0, round_index=0):
     """victim_gradient as a fresh graph, gradient and plan for every call."""
-    lg = forward_loss(params, x, target)
+    bindings = loss_bindings(params, x, target)
+    lg = forward_loss(params)
     grad_nodes = grad(lg.graph, wrt=lg.param_nodes.values(), of=lg.loss)
     names = list(lg.param_nodes)
-    values = lg.graph.evaluator([grad_nodes[lg.param_nodes[n]] for n in names])(lg.bindings)
+    values = lg.graph.evaluator([grad_nodes[lg.param_nodes[n]] for n in names])(bindings)
     return GradientBundle(params.spec.digest, client_id, round_index,
                           tuple((n, Tensor(v)) for n, v in zip(names, values)))
 
@@ -171,8 +174,8 @@ class TestVictimPlan:
             counts["grad"] += 1
             return flsim_grad(*args, **kwargs)
 
-        def recorded_forward_loss(*args):
-            lg = flsim_forward_loss(*args)
+        def recorded_forward_loss(params):
+            lg = flsim_forward_loss(params)
             graphs.append(lg.graph)
             return lg
 
@@ -210,13 +213,34 @@ class TestVictimPlan:
         assert _outcome(victim_gradient, params, x, target) == _outcome(
             _oracle_bundle, params, x, target)
 
-    def test_input_shapes_checked_on_a_warm_plan(self):
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_input_shapes_checked_on_a_warm_plan(self, cache):
         params, x, target = _client(_PLAN_SPECS[0], 1)
-        victim_gradient(params, x, target)
+        warm_up = (params, x, target) if cache == "warm" else _client(_PLAN_SPECS[1], 1)
+        victim_gradient(*warm_up)
         with pytest.raises(ShapeError, match="forward_loss: input of shape"):
             victim_gradient(params, Tensor.zeros((12, 12, 3)), target)
         with pytest.raises(ShapeError, match="forward_loss: target of shape"):
             victim_gradient(params, x, one_hot(0, 3))
+
+    def test_one_loss_graph_serves_any_input(self):
+        # the loss graph and the gradient plan are built once, from the
+        # model alone; each (input, target) pair is bound at evaluation
+        params, x, target = _client(_PLAN_SPECS[0], 3)
+        lg = forward_loss(params)
+        grads = grad(lg.graph, wrt=lg.param_nodes.values(), of=lg.loss)
+        run_graph = lg.graph.evaluator([grads[node] for node in lg.param_nodes.values()])
+        run_plan = flsim.gradient_plan(params)
+        other = (synth_image("light-background", 12, 12, 1, 4).to_tensor(),
+                 softmax(Tensor([0.3, -1.2])))
+        for pair in ((x, target), other):
+            bindings = loss_bindings(params, *pair)
+            want = [t.array for _, t in victim_gradient(params, *pair).tensors]
+            for got in (run_graph(bindings), run_plan(bindings)):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        inputs = {t.array.tobytes() for t in (x, target) + other}
+        consts = [n for n in range(len(lg.graph)) if lg.graph.op_of(n) == "const"]
+        assert not [n for n in consts if lg.graph.node(n).payload.tobytes() in inputs]
 
     def test_spec_and_params_still_pickle(self):
         params, x, target = _client(_PLAN_SPECS[0], 2)

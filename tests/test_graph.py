@@ -16,13 +16,11 @@ from gradleak import (
     SeedRng,
     ShapeError,
     Stack,
-    Tensor,
     build_model,
     default_attack_spec,
     forward_loss,
     grad,
     meta_grad,
-    one_hot,
 )
 from gradleak import _kernels as kern
 from gradleak.attack import _build_attack_graph
@@ -525,7 +523,7 @@ def test_structurally_equal_nodes_are_one_node():
         g.variable("a", (2, 3))
 
 
-def _gradient_plan_nodes(params, x, target):
+def _gradient_plan_nodes(params):
     """The graph and outputs that `gradient_plan` compiles, caught at the
     `evaluator` call."""
     caught = []
@@ -537,7 +535,7 @@ def _gradient_plan_nodes(params, x, target):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ExprGraph, "evaluator", catch)
-        gradient_plan(params, x, target)
+        gradient_plan(params)
     (plan,) = caught
     return plan
 
@@ -557,7 +555,7 @@ def test_grad_leaves_no_correlation_without_a_consumer():
     # loss: each correlation it builds is either used or a returned gradient
     spec = default_attack_spec(16, 16, 1, 2)
     params = build_model(spec, SeedRng(5))
-    lg = forward_loss(params, Tensor(np.full(spec.input_shape, 0.5)), one_hot(1, 2))
+    lg = forward_loss(params)
     g = lg.graph
     returned = set(grad(g, wrt=g.variables().values(), of=lg.loss).values())
     consumed = {i for n in range(len(g)) for i in g.node(n).inputs}
@@ -569,13 +567,12 @@ def test_grad_leaves_no_correlation_without_a_consumer():
 def _gd_and_gn_plans():
     spec = default_attack_spec(12, 12, 1, 2)
     params = build_model(spec, SeedRng(5))
-    truth = Tensor(_rand(SeedRng(6), spec.input_shape) * 0.5 + 0.5)
     plans = {}
     for variant in ("baseline", "improved"):
         ag = _build_attack_graph(params, AttackConfig(variant=variant))
         meta = meta_grad(ag.graph, wrt=(ag.x, ag.y), of=ag.objective)
         plans[variant] = (ag.graph, [ag.distance, meta[ag.x], meta[ag.y]])
-    plans["gn_residual"] = _gradient_plan_nodes(params, truth, one_hot(1, 2))
+    plans["gn_residual"] = _gradient_plan_nodes(params)
     return plans
 
 
@@ -613,8 +610,7 @@ def test_batched_residual_plan_is_stack_of_single_evaluations(name):
     spec = RESIDUAL_SPECS[name]
     rng = SeedRng(17)
     params = build_model(spec, rng)
-    truth = Tensor(_rand(rng, spec.input_shape) * 0.5 + 0.5)
-    g, outputs = _gradient_plan_nodes(params, truth, one_hot(1, spec.classes))
+    g, outputs = _gradient_plan_nodes(params)
     nodes = sorted(g._ancestors(outputs))
     ops = {g.op_of(n) for n in nodes}
     assert {"sum_all", "max_all", "fill", "reshape", "matvec", "matvec_t", "outer"} <= ops

@@ -21,6 +21,7 @@ from gradleak import (
     default_attack_spec,
     forward_loss,
     grad,
+    loss_bindings,
     one_hot,
     parse_model_text,
 )
@@ -209,8 +210,9 @@ def test_forward_loss_confident_correct_prediction():
     # identity dense layer over a 2-pixel image: logits equal the pixels
     spec = ModelSpec((1, 2, 1), (Flatten(), Dense(out_dim=2, biased=False)))
     params = ModelParams(spec, {"fc1": {"W": Tensor(np.eye(2))}})
-    lg = forward_loss(params, Tensor([20.0, 0.0], shape=(1, 2, 1)), one_hot(0, 2))
-    loss = lg.graph.eval(lg.bindings, [lg.loss])[0].item()
+    lg = forward_loss(params)
+    bindings = loss_bindings(params, Tensor([20.0, 0.0], shape=(1, 2, 1)), one_hot(0, 2))
+    loss = lg.graph.eval(bindings, [lg.loss])[0].item()
     assert 0.0 < loss < 1e-3
 
 
@@ -219,8 +221,9 @@ def test_forward_loss_zero_model_is_uniform():
     params = ModelParams(
         spec, {"fc1": {"W": Tensor.zeros((2, 2)), "B": Tensor.zeros((2,))}}
     )
-    lg = forward_loss(params, Tensor.zeros((1, 2, 1)), one_hot(1, 2))
-    loss = lg.graph.eval(lg.bindings, [lg.loss])[0].item()
+    lg = forward_loss(params)
+    bindings = loss_bindings(params, Tensor.zeros((1, 2, 1)), one_hot(1, 2))
+    loss = lg.graph.eval(bindings, [lg.loss])[0].item()
     assert abs(loss - math.log(2)) < 1e-15
 
 
@@ -229,12 +232,13 @@ def test_forward_loss_gradients_match_finite_differences():
     params = build_model(spec, SeedRng(17))
     rng = SeedRng(18)
     x = Tensor(np.array([rng.uniform() for _ in range(64)]).reshape(8, 8, 1))
-    lg = forward_loss(params, x, one_hot(1, 2))
+    lg = forward_loss(params)
+    bindings = loss_bindings(params, x, one_hot(1, 2))
     gm = grad(lg.graph, lg.param_nodes.values(), of=lg.loss)
     run_loss = lg.graph.evaluator([lg.loss])
     for name, node in lg.param_nodes.items():
-        got = lg.graph.evaluator([gm[node]])(lg.bindings)[0]
-        want = fd_gradient(run_loss, dict(lg.bindings), name)
+        got = lg.graph.evaluator([gm[node]])(bindings)[0]
+        want = fd_gradient(run_loss, dict(bindings), name)
         worst = max(rel_err(a, b, 1e-6) for a, b in zip(got.ravel(), want.ravel()))
         assert worst < 1e-5, f"{name}: worst {worst}"
 
@@ -245,14 +249,15 @@ def test_forward_loss_is_nonnegative():
     for trial in range(5):
         params = build_model(spec, SeedRng(trial))
         x = Tensor(np.array([rng.uniform() for _ in range(64)]).reshape(8, 8, 1))
-        lg = forward_loss(params, x, one_hot(trial % 2, 2))
-        assert lg.graph.eval(lg.bindings, [lg.loss])[0].item() >= 0.0
+        lg = forward_loss(params)
+        bindings = loss_bindings(params, x, one_hot(trial % 2, 2))
+        assert lg.graph.eval(bindings, [lg.loss])[0].item() >= 0.0
 
 
 def test_forward_loss_shape_validation():
     spec = small_spec()
     params = build_model(spec, SeedRng(1))
-    with pytest.raises(ShapeError):
-        forward_loss(params, Tensor.zeros((4, 4, 1)), one_hot(0, 2))
-    with pytest.raises(ShapeError):
-        forward_loss(params, Tensor.zeros((8, 8, 1)), one_hot(0, 3))
+    with pytest.raises(ShapeError, match="forward_loss: input of shape"):
+        loss_bindings(params, Tensor.zeros((4, 4, 1)), one_hot(0, 2))
+    with pytest.raises(ShapeError, match="forward_loss: target of shape"):
+        loss_bindings(params, Tensor.zeros((8, 8, 1)), one_hot(0, 3))

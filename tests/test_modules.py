@@ -1,6 +1,8 @@
-"""Module-level checks: annotations resolve, and the cli imports stay lean."""
+"""Module-level checks: annotations resolve, every import is used, and the
+cli imports stay lean."""
 
-import importlib
+import ast
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -44,6 +46,27 @@ def test_every_annotation_resolves(module_name):
         except NameError as e:
             unresolved.append(f"{qualname}: {e}")
     assert not unresolved
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports (at any depth) but never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_import_is_used(module_name):
+    # stands in for an unused-import lint; the package __init__, whose
+    # imports are re-exports, is not among MODULES
+    with open(importlib.util.find_spec(module_name).origin, encoding="utf-8") as fh:
+        assert _unused_imports(fh.read()) == []
 
 
 def test_cli_import_leaves_out_the_worker_pool():
