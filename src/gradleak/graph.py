@@ -12,6 +12,14 @@ distance whose value already contains first-order gradients).
 Shapes are static: builders infer and check them at construction time, so a
 mis-wired model fails when it is assembled, not mid-evaluation.
 
+`evaluator` compiles the ancestors of its outputs once into a flat
+instruction list over numbered slots: constants, variables by name and
+shape, and one step per computed node holding its rule, its input slots
+and the slots whose last consumer it is. A call fills a plain list step by
+step and drops every value that is not an output after its last use. Rules
+look up `_kernels` functions when they run, so a wrapper installed on the
+module after a plan is compiled still sees every kernel call.
+
 Correlations carry a signed margin: `corr2d` and `kgrad_corr` zero-pad
 their input by it, or crop it when the margin is negative. The input
 gradient of a correlation with margin m is then the correlation of the
@@ -314,10 +322,6 @@ class ExprGraph:
         e = self.exp(self.sub(v, self.fill(shift, s)))
         return self.mul(e, self.fill(self.reciprocal(self.sum_all(e)), s))
 
-    def cross_entropy(self, probs: NodeId, target: NodeId) -> NodeId:
-        self._same_shape("cross_entropy", probs, target)
-        return self.neg(self.sum_all(self.mul(target, self.log(probs))))
-
     def cross_entropy_logits(self, logits: NodeId, target: NodeId) -> NodeId:
         """cross_entropy(softmax(logits), target) in log-sum-exp form.
 
@@ -354,8 +358,10 @@ class ExprGraph:
     def evaluator(self, outputs: Sequence[NodeId]):
         """Compile an evaluation plan; returns bindings -> list of ndarrays.
 
-        The plan is the id-sorted ancestor set of the outputs, so shared
-        subexpressions are computed once per call, and it stays valid as the
+        The plan is the id-sorted ancestor set of the outputs, resolved once
+        into the slot-indexed instruction list described above, so shared
+        subexpressions are computed once per call, no value outlives its last
+        consumer unless it is an output, and the plan stays valid as the
         graph grows. A variable is bound to an array of exactly its shape, or
         to a `Stack` of B such points; all stacks in one call share B, and
         then each output comes back with shape (B,) + its node shape, entry b
@@ -366,38 +372,53 @@ class ExprGraph:
             if not 0 <= o < len(self._nodes):
                 raise ContractError(f"evaluator: unknown node id {o}")
         order = sorted(self._ancestors(key))
-        nodes = self._nodes
+        slot = {nid: i for i, nid in enumerate(order)}
+        nodes = [self._nodes[nid] for nid in order]
+        last_use = {slot[i]: s for s, node in enumerate(nodes) for i in node.inputs}
+        for o in key:
+            last_use.pop(slot[o], None)
+        dies_at: dict[int, list[int]] = {}
+        for s, user in last_use.items():
+            dies_at.setdefault(user, []).append(s)
+
+        consts = [(s, n.payload) for s, n in enumerate(nodes) if n.op == "const"]
+        variables = [(s, n.params[0], n.shape) for s, n in enumerate(nodes) if n.op == "var"]
+        steps = [(s, _EVAL[n.op], n, tuple(slot[i] for i in n.inputs), tuple(dies_at.get(s, ())))
+                 for s, n in enumerate(nodes) if n.op not in ("const", "var")]
+        out_slots = [slot[o] for o in key]
+        out_shapes = [self._nodes[o].shape for o in key]
+        n_slots = len(order)
 
         def run(bindings: Mapping[str, np.ndarray | Stack]) -> list[np.ndarray]:
-            vals: dict[NodeId, np.ndarray] = {}
+            vals: list = [None] * n_slots
+            for s, payload in consts:
+                vals[s] = payload
             size = None
-            for nid in order:
-                node = nodes[nid]
-                if node.op == "const":
-                    vals[nid] = node.payload
-                elif node.op == "var":
-                    name = node.params[0]
-                    arr = _bound(bindings, name)
-                    if isinstance(arr, Stack):
-                        arr = arr.points
-                        if arr.ndim != len(node.shape) + 1 or arr.shape[1:] != node.shape or (
-                                size not in (None, arr.shape[0])):
-                            raise ShapeError(
-                                f"eval: stack for {name!r} has shape {arr.shape}, expected "
-                                f"({'B' if size is None else size},) + {node.shape}"
-                            )
-                        size = arr.shape[0]
-                    elif arr.shape != node.shape:
+            for s, name, shape in variables:
+                arr = _bound(bindings, name)
+                if isinstance(arr, Stack):
+                    arr = arr.points
+                    if arr.ndim != len(shape) + 1 or arr.shape[1:] != shape or (
+                            size not in (None, arr.shape[0])):
                         raise ShapeError(
-                            f"eval: binding for {name!r} has shape {arr.shape}, "
-                            f"variable expects {node.shape}"
+                            f"eval: stack for {name!r} has shape {arr.shape}, expected "
+                            f"({'B' if size is None else size},) + {shape}"
                         )
-                    vals[nid] = arr
-                else:
-                    vals[nid] = _EVAL[node.op](node, [vals[i] for i in node.inputs])
+                    size = arr.shape[0]
+                elif arr.shape != shape:
+                    raise ShapeError(
+                        f"eval: binding for {name!r} has shape {arr.shape}, "
+                        f"variable expects {shape}"
+                    )
+                vals[s] = arr
+            for s, rule, node, ins, dead in steps:
+                vals[s] = rule(node, [vals[i] for i in ins])
+                for d in dead:
+                    vals[d] = None
             if size is None:
-                return [vals[o] for o in key]
-            return [np.broadcast_to(vals[o], (size,) + nodes[o].shape) for o in key]
+                return [vals[s] for s in out_slots]
+            return [np.broadcast_to(vals[s], (size,) + shape)
+                    for s, shape in zip(out_slots, out_shapes)]
 
         return run
 
@@ -496,6 +517,12 @@ def _margin(x: np.ndarray, m: int) -> np.ndarray:
     return k.pad2d(x, m) if m >= 0 else k.crop2d(x, -m)
 
 
+def _fill(n, a):
+    out = np.empty(a[0].shape + n.params[0])
+    out[...] = a[0].reshape(a[0].shape + (1,) * len(n.params[0]))
+    return out
+
+
 _EVAL.update({
     "add": lambda n, a: a[0] + a[1],
     "sub": lambda n, a: a[0] - a[1],
@@ -510,8 +537,7 @@ _EVAL.update({
     "stop_grad": lambda n, a: a[0],
     "sum_all": lambda n, a: np.asarray(a[0].sum(axis=n.params[0])),
     "max_all": lambda n, a: np.asarray(a[0].max(axis=n.params[0])),
-    "fill": lambda n, a: np.broadcast_to(
-        a[0].reshape(a[0].shape + (1,) * len(n.params[0])), a[0].shape + n.params[0]).copy(),
+    "fill": _fill,
     "reshape": lambda n, a: a[0].reshape(a[0].shape[: a[0].ndim - n.params[1]] + n.params[0]),
     "matvec": lambda n, a: np.matmul(a[0], a[1][..., None])[..., 0],
     "matvec_t": lambda n, a: np.matmul(a[0].swapaxes(-1, -2), a[1][..., None])[..., 0],

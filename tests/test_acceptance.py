@@ -10,7 +10,6 @@ loop, whose step size is pinned per scenario below.
 import time
 
 import numpy as np
-import pytest
 
 from gradleak import (
     AttackConfig,
@@ -42,7 +41,7 @@ from gradleak.attack import _build_attack_graph
 from gradleak.cli import cli_main
 from gradleak.models import Activation, Conv, Dense, Flatten, ModelSpec
 from gradleak.netpbm import ImageBuffer
-from oracles import rel_err
+from oracles import graph_cross_entropy, rel_err
 
 # pinned step sizes, one per scenario
 ETA_LSQ = 1.0        # gauss_newton scenarios (criteria 6, 10)
@@ -128,7 +127,8 @@ def _primitive_scenarios():
         "avg_unpool2d": ({"a": (3, 3, 2)}, lambda g, v: g.avg_unpool2d(v["a"], 2, 2, 6, 6)),
         "softmax": ({"a": (5,)}, lambda g, v: g.softmax(v["a"])),
         "cross_entropy": ({"a": (4,), "b": (4,)},
-                          lambda g, v: g.cross_entropy(g.softmax(v["a"]), g.softmax(v["b"]))),
+                          lambda g, v: graph_cross_entropy(g, g.softmax(v["a"]),
+                                                           g.softmax(v["b"]))),
         "cross_entropy_logits": ({"a": (4,), "b": (4,)},
                                  lambda g, v: g.cross_entropy_logits(v["a"], g.softmax(v["b"]))),
         "sq_diff_sum": ({"a": (4,), "b": (4,)}, lambda g, v: g.sq_diff_sum(v["a"], v["b"])),

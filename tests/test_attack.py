@@ -12,7 +12,6 @@ from gradleak import (
     ExprGraph,
     GradientBundle,
     IncompatibilityError,
-    ModelParams,
     ModelSpec,
     SeedRng,
     Tensor,
@@ -35,7 +34,6 @@ from gradleak import (
     meta_grad,
     one_hot,
     parse_model_text,
-    serialize_bundle,
     softmax,
     synth_image,
     victim_gradient,

@@ -4,12 +4,10 @@ import shlex
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gradleak import (
     SeedRng,
-    Tensor,
     build_model,
     default_attack_spec,
     one_hot,

@@ -26,7 +26,7 @@ from gradleak import _kernels as kern
 from gradleak.attack import _build_attack_graph
 from gradleak.flsim import gradient_plan
 from gradleak.ops import softmax
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, graph_cross_entropy, rel_err
 
 
 def _rand(rng, shape, scale=1.0):
@@ -218,7 +218,7 @@ def test_primitive_gradients_match_finite_differences(case):
     elif case == "cross_entropy":
         a = g.variable("a", (4,))
         b = g.variable("b", (4,))
-        node = g.cross_entropy(g.softmax(a), g.softmax(b))
+        node = graph_cross_entropy(g, g.softmax(a), g.softmax(b))
         bindings = {"a": _rand(rng, (4,), 2.0), "b": _rand(rng, (4,), 2.0)}
     else:  # sq_diff_sum
         a = g.variable("a", (4,))
@@ -263,7 +263,8 @@ def test_closure_under_double_differentiation_for_model_primitives():
     b = g.variable("b", (4,))
     feat = g.avg_pool2d(g.sigmoid(g.conv2d(x, k, stride=1, zero_padding=1)), 3, 3)
     logits = g.affine(w, g.reshape(feat, (8,)), b)
-    loss = g.cross_entropy(g.softmax(logits), g.constant(np.array([0.5, 0.25, 0.2, 0.05])))
+    target = g.constant(np.array([0.5, 0.25, 0.2, 0.05]))
+    loss = graph_cross_entropy(g, g.softmax(logits), target)
     first = grad(g, [x, k, w, b], of=loss)
     score = None
     for node in first.values():
@@ -364,7 +365,7 @@ def test_meta_grad_matches_finite_differences_on_tiny_mlp():
     b2 = g.variable("b2", (2,))
     hidden = g.sigmoid(g.affine(w1, x, b1))
     logits = g.affine(w2, hidden, b2)
-    loss = g.cross_entropy(g.softmax(logits), g.softmax(y))
+    loss = graph_cross_entropy(g, g.softmax(logits), g.softmax(y))
     first = grad(g, [w2, b2], of=loss)
 
     w2_0 = _rand(rng, (2, 3))
@@ -649,3 +650,101 @@ def test_stack_bindings_check_the_leading_axis():
                 {"x": Stack(xs), "y": Stack(ys), "w": ys}):        # plain array of a stack's shape
         with pytest.raises(ShapeError):
             run(bad)
+
+
+# ------------------------------------------------------------ evaluator contract
+
+
+def test_eval_errors_keep_their_messages():
+    g = ExprGraph()
+    x = g.variable("x", (3, 2))
+    y = g.variable("y", (2,))
+    out = g.add(g.sum_all(x), g.sum_all(y))
+    run = g.evaluator([out])
+    rng = SeedRng(12)
+    xs, ys = _rand(rng, (4, 3, 2)), _rand(rng, (4, 2))
+    cases = [
+        ({"x": xs[0]}, ContractError, "eval: no binding for variable 'y'"),
+        ({"x": xs[0], "y": np.zeros(3)}, ShapeError,
+         "eval: binding for 'y' has shape (3,), variable expects (2,)"),
+        ({"x": Stack(xs[0]), "y": ys[0]}, ShapeError,
+         "eval: stack for 'x' has shape (3, 2), expected (B,) + (3, 2)"),
+        ({"x": Stack(xs), "y": Stack(ys[:3])}, ShapeError,
+         "eval: stack for 'y' has shape (3, 2), expected (4,) + (2,)"),
+    ]
+    for bindings, error, message in cases:
+        with pytest.raises(error) as caught:
+            run(bindings)
+        assert str(caught.value) == message
+    with pytest.raises(ContractError) as caught:
+        g.evaluator([out, len(g)])
+    assert str(caught.value) == f"evaluator: unknown node id {len(g)}"
+
+
+def test_drop_after_last_use_keeps_outputs_and_bound_arrays():
+    # h is an output and also feeds a later node; it is listed twice, next
+    # to a variable and a constant; the plan runs twice on the same bindings
+    g = ExprGraph()
+    x = g.variable("x", (3,))
+    c = g.constant(np.array([0.5, -2.0, 3.0]))
+    h = g.mul(g.exp(x), c)
+    total = g.sum_all(g.mul(h, h))
+    outputs = [h, total, x, c, h, g.fill(total, (2,))]
+    run = g.evaluator(outputs)
+    x0 = np.array([0.25, -1.0, 2.0])
+    bound = x0.copy()
+    first = run({"x": bound})
+    second = run({"x": bound})
+    assert np.array_equal(bound, x0)
+    want_h = np.exp(x0) * np.array([0.5, -2.0, 3.0])
+    want_total = np.sum(want_h * want_h)
+    for got in (first, second):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in first]
+        assert np.array_equal(got[0], want_h) and np.array_equal(got[4], want_h)
+        assert got[1] == want_total and got[5].tolist() == [want_total] * 2
+        assert np.array_equal(got[2], x0) and np.array_equal(got[3], [0.5, -2.0, 3.0])
+    # the fill result is a fresh array, not a view of the scalar
+    assert first[5].flags.writeable and first[5].base is None
+    # with a Stack, each output still gets its leading axis
+    stacked = run({"x": Stack(np.stack([x0, 2 * x0]))})
+    assert [a.shape for a in stacked] == [(2, 3), (2,), (2, 3), (2, 3), (2, 3), (2, 2)]
+
+
+@pytest.mark.parametrize("plan", ["baseline", "improved", "gn_residual"])
+def test_attack_plans_give_each_output_as_if_alone(plan):
+    # in the GN residual (victim gradient) plan the last bias gradient is an
+    # output and also feeds that layer's weight gradient
+    g, outputs = _gd_and_gn_plans()[plan]
+    consumed = [o for o in outputs if any(o in g.node(n).inputs for n in g._ancestors(outputs))]
+    assert len(consumed) == (plan == "gn_residual")
+    rng = SeedRng(31)
+    bindings = {name: _rand(rng, g.shape_of(nid)) for name, nid in g.variables().items()}
+    before = {name: a.copy() for name, a in bindings.items()}
+    run = g.evaluator(outputs)
+    together, again = run(bindings), run(bindings)
+    alone = [g.evaluator([o])(bindings)[0] for o in outputs]
+    for a, b, c in zip(together, again, alone):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    assert all(np.array_equal(bindings[n], before[n]) for n in bindings)
+
+
+def test_plans_call_kernels_through_the_module(monkeypatch):
+    # a wrapper installed on `_kernels` after compiling still sees every call
+    g = ExprGraph()
+    x = g.variable("x", (4, 4, 1))
+    kr = g.variable("k", (3, 3, 1, 2))
+    run = g.evaluator([g.corr2d(x, kr, 1)])
+    rng = SeedRng(41)
+    bindings = {"x": _rand(rng, (4, 4, 1)), "k": _rand(rng, (3, 3, 1, 2))}
+    (want,) = run(bindings)
+    seen = []
+    corr2d = kern.corr2d
+
+    def wrapped(*args):
+        seen.append(tuple(a.shape for a in args))
+        return corr2d(*args)
+
+    monkeypatch.setattr(kern, "corr2d", wrapped)
+    (got,) = run(bindings)
+    assert seen == [((6, 6, 1), (3, 3, 1, 2))]
+    assert np.array_equal(got, want)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gradleak import (
-    AttackConfig,
     ContractError,
     ImagePair,
     SeedRng,

@@ -7,7 +7,6 @@ from gradleak import (
     Activation,
     Conv,
     Dense,
-    ExprGraph,
     Flatten,
     GeometryError,
     ModelParams,

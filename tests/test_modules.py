@@ -1,5 +1,5 @@
-"""Module-level checks: annotations resolve, every import is used, and the
-cli imports stay lean."""
+"""Module-level checks: annotations resolve, every import is used (in the
+tests too), and the cli imports stay lean."""
 
 import ast
 import importlib.util
@@ -61,11 +61,18 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("module_name", MODULES)
-def test_every_import_is_used(module_name):
-    # stands in for an unused-import lint; the package __init__, whose
-    # imports are re-exports, is not among MODULES
-    with open(importlib.util.find_spec(module_name).origin, encoding="utf-8") as fh:
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SOURCES = [pytest.param(importlib.util.find_spec(m).origin, id=m) for m in MODULES] + [
+    pytest.param(os.path.join(TESTS, f), id=f"tests/{f}")
+    for f in sorted(os.listdir(TESTS)) if f.endswith(".py")
+]
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_every_import_is_used(path):
+    # stands in for an unused-import lint over the package and its tests;
+    # the package __init__, whose imports are re-exports, is not among MODULES
+    with open(path, encoding="utf-8") as fh:
         assert _unused_imports(fh.read()) == []
 
 
