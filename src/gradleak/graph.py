@@ -13,12 +13,12 @@ Shapes are static: builders infer and check them at construction time, so a
 mis-wired model fails when it is assembled, not mid-evaluation.
 
 `evaluator` compiles the ancestors of its outputs once into a flat
-instruction list over numbered slots: constants, variables by name and
-shape, and one step per computed node holding its rule, its input slots
-and the slots whose last consumer it is. A call fills a plain list step by
-step and drops every value that is not an output after its last use. Rules
-look up `_kernels` functions when they run, so a wrapper installed on the
-module after a plan is compiled still sees every kernel call.
+instruction list whose slots are node ids: constants, variables by name and
+shape, and one step per computed node holding its rule, its input ids and
+the ids whose last consumer it is. A call fills a plain list step by step
+and drops every value that is not an output after its last use. Rules look
+up `_kernels` functions when they run, so a wrapper installed on the module
+after a plan is compiled still sees every kernel call.
 
 Correlations carry a signed margin: `corr2d` and `kgrad_corr` zero-pad
 their input by it, or crop it when the margin is negative. The input
@@ -359,7 +359,7 @@ class ExprGraph:
         """Compile an evaluation plan; returns bindings -> list of ndarrays.
 
         The plan is the id-sorted ancestor set of the outputs, resolved once
-        into the slot-indexed instruction list described above, so shared
+        into the instruction list described above, so shared
         subexpressions are computed once per call, no value outlives its last
         consumer unless it is an output, and the plan stays valid as the
         graph grows. A variable is bound to an array of exactly its shape, or
@@ -372,29 +372,31 @@ class ExprGraph:
             if not 0 <= o < len(self._nodes):
                 raise ContractError(f"evaluator: unknown node id {o}")
         order = sorted(self._ancestors(key))
-        slot = {nid: i for i, nid in enumerate(order)}
-        nodes = [self._nodes[nid] for nid in order]
-        last_use = {slot[i]: s for s, node in enumerate(nodes) for i in node.inputs}
+        nodes = self._nodes
+        last_use = {i: nid for nid in order for i in nodes[nid].inputs}
         for o in key:
-            last_use.pop(slot[o], None)
-        dies_at: dict[int, list[int]] = {}
-        for s, user in last_use.items():
-            dies_at.setdefault(user, []).append(s)
-
-        consts = [(s, n.payload) for s, n in enumerate(nodes) if n.op == "const"]
-        variables = [(s, n.params[0], n.shape) for s, n in enumerate(nodes) if n.op == "var"]
-        steps = [(s, _EVAL[n.op], n, tuple(slot[i] for i in n.inputs), tuple(dies_at.get(s, ())))
-                 for s, n in enumerate(nodes) if n.op not in ("const", "var")]
-        out_slots = [slot[o] for o in key]
-        out_shapes = [self._nodes[o].shape for o in key]
-        n_slots = len(order)
+            last_use.pop(o, None)
+        dies_at: dict[NodeId, list[NodeId]] = {}
+        for i, nid in last_use.items():
+            dies_at.setdefault(nid, []).append(i)
+        consts, variables, steps = [], [], []
+        for nid in order:
+            node = nodes[nid]
+            if node.op == "const":
+                consts.append((nid, node.payload))
+            elif node.op == "var":
+                variables.append((nid, node.params[0], node.shape))
+            else:
+                steps.append((nid, _EVAL[node.op], node, node.inputs, tuple(dies_at.get(nid, ()))))
+        out_shapes = [nodes[o].shape for o in key]
+        n_vals = order[-1] + 1
 
         def run(bindings: Mapping[str, np.ndarray | Stack]) -> list[np.ndarray]:
-            vals: list = [None] * n_slots
-            for s, payload in consts:
-                vals[s] = payload
+            vals: list = [None] * n_vals
+            for nid, payload in consts:
+                vals[nid] = payload
             size = None
-            for s, name, shape in variables:
+            for nid, name, shape in variables:
                 arr = _bound(bindings, name)
                 if isinstance(arr, Stack):
                     arr = arr.points
@@ -410,15 +412,14 @@ class ExprGraph:
                         f"eval: binding for {name!r} has shape {arr.shape}, "
                         f"variable expects {shape}"
                     )
-                vals[s] = arr
-            for s, rule, node, ins, dead in steps:
-                vals[s] = rule(node, [vals[i] for i in ins])
+                vals[nid] = arr
+            for nid, rule, node, ins, dead in steps:
+                vals[nid] = rule(node, [vals[i] for i in ins])
                 for d in dead:
                     vals[d] = None
             if size is None:
-                return [vals[s] for s in out_slots]
-            return [np.broadcast_to(vals[s], (size,) + shape)
-                    for s, shape in zip(out_slots, out_shapes)]
+                return [vals[o] for o in key]
+            return [np.broadcast_to(vals[o], (size,) + shape) for o, shape in zip(key, out_shapes)]
 
         return run
 
