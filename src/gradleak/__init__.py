@@ -1,10 +1,11 @@
 """gradleak: gradient inversion attacks on simulated federated learning rounds.
 
 The package splits into: a tensor/expression-graph core able to take
-gradients of gradients (`tensor`, `graph`, `ops`), declarative attackable
-models (`models`), the honest federated side (`flsim`), the reconstruction
-attacks (`attack`), quality metrics (`metrics`), image plumbing (`netpbm`)
-and the CLI (`cli`).
+gradients of gradients (`tensor`, and `graph`, whose expression graph is the
+one implementation of every operation), declarative attackable models
+(`models`), the honest federated side (`flsim`), the reconstruction attacks
+(`attack`), quality metrics (`metrics`), image plumbing (`netpbm`) and the
+CLI (`cli`).
 """
 
 from .attack import (
@@ -28,7 +29,6 @@ from .errors import (
     CapabilityError,
     ContractError,
     DivergenceError,
-    DomainError,
     GeometryError,
     GradleakError,
     IncompatibilityError,
@@ -45,7 +45,7 @@ from .flsim import (
     victim_gradient,
     write_bundle,
 )
-from .graph import ExprGraph, Stack, grad, meta_grad
+from .graph import ExprGraph, Stack, conv2d, grad, meta_grad
 from .metrics import (
     ConvergenceReport,
     ImagePair,
@@ -53,7 +53,6 @@ from .metrics import (
     mse_255,
     mse_unit,
     report_kv,
-    report_tsv,
 )
 from .models import (
     Activation,
@@ -80,7 +79,6 @@ from .netpbm import (
     synth_image,
     write_image,
 )
-from .ops import affine, avg_pool2d, conv2d, cross_entropy, sigmoid, softmax
 from .tensor import SeedRng, Tensor
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""NumPy kernels shared by the eager ops and the graph interpreter.
+"""NumPy kernels the graph's evaluation rules call.
 
 Layout conventions: images/features are HxWxC, kernels are khxkwxCxD.
 Every kernel also accepts leading batch axes on its operands, (..., H, W, C)

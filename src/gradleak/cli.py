@@ -133,6 +133,8 @@ def _cmd_attack(args) -> int:
     params = build_model(spec, SeedRng(args.model_seed))
     truth = _load_image(args.truth).to_tensor() if args.truth else None
     seeds = _parse_int_list(args.seed, "seed")
+    if len(set(seeds)) != len(seeds):
+        raise ContractError(f"seeds must be unique, got {seeds}")
     checkpoints = _parse_int_list(args.checkpoints, "checkpoint") if args.checkpoints else None
     penalty = {} if args.lam is None else {"lambda_mean": args.lam}
 

@@ -17,10 +17,6 @@ class ContractError(GradleakError):
     """An API precondition was violated by the caller."""
 
 
-class DomainError(GradleakError):
-    """A value lies outside an operation's mathematical domain."""
-
-
 class CapabilityError(GradleakError):
     """A graph primitive lacks the derivative rule the requested differentiation needs."""
 

@@ -10,7 +10,10 @@ through a gradient (its update needs the derivative of a gradient-matching
 distance whose value already contains first-order gradients).
 
 Shapes are static: builders infer and check them at construction time, so a
-mis-wired model fails when it is assembled, not mid-evaluation.
+mis-wired model fails when it is assembled, not mid-evaluation. The graph is
+the package's one implementation of every operation: `conv_output_size` is
+the window arithmetic its builders and `ModelSpec` share, and the eager
+`conv2d` builds one graph convolution over two constants and evaluates it.
 
 `evaluator` compiles the ancestors of its outputs once into a flat
 instruction list whose slots are node ids: constants, variables by name and
@@ -39,11 +42,28 @@ import numpy as np
 
 from . import _kernels as k
 from .errors import CapabilityError, ContractError, GeometryError, ShapeError
-from .ops import conv_output_size
 from .tensor import Shape, Tensor, as_array
 
 # node id within a graph
 NodeId = int
+
+
+def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    """Output extent of a sliding window: (size + 2*padding - kernel)/stride + 1."""
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise GeometryError(f"window {kernel} and stride {stride} must be positive and "
+                            f"padding {padding} non-negative")
+    span = size + 2 * padding - kernel
+    if span < 0:
+        raise GeometryError(
+            f"window of size {kernel} does not fit input extent {size} with padding {padding}"
+        )
+    if span % stride != 0:
+        raise GeometryError(
+            f"extent {size} with kernel {kernel}, padding {padding} is not divisible "
+            f"by stride {stride}"
+        )
+    return span // stride + 1
 
 
 class _Node:
@@ -425,6 +445,20 @@ class ExprGraph:
 
     def eval(self, bindings: Mapping[str, np.ndarray], outputs: Sequence[NodeId]) -> list[Tensor]:
         return [Tensor(a) for a in self.evaluator(outputs)(bindings)]
+
+
+def conv2d(input, kernel, stride: int = 1, zero_padding: int = 0, flip: bool = False) -> Tensor:
+    """Eager 2-D convolution of an HxWxC input with a khxkwxCxD kernel stack:
+    one `ExprGraph.conv2d` over two constants, evaluated at once.
+
+    flip=False computes cross-correlation (the usual CNN convention);
+    flip=True rotates the kernel 180 degrees first, i.e. true convolution.
+    """
+    kr = as_array(kernel)
+    if flip and kr.ndim == 4:  # any other shape is left for the builder to reject
+        kr = kr[::-1, ::-1]
+    g = ExprGraph()
+    return g.eval({}, [g.conv2d(g.constant(input), g.constant(kr), stride, zero_padding)])[0]
 
 
 class Stack:

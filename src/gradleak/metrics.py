@@ -76,14 +76,6 @@ def convergence_report(trace) -> ConvergenceReport:
     )
 
 
-def report_tsv(report: ConvergenceReport) -> str:
-    """Tab-separated checkpoint table with a header row."""
-    lines = ["iteration\tdistance\tmse_255"]
-    for iteration, distance, mse in report.rows:
-        lines.append(f"{iteration}\t{distance!r}\t{mse!r}")
-    return "\n".join(lines) + "\n"
-
-
 def report_kv(report: ConvergenceReport) -> str:
     """Machine-readable key: value rendering, one block per checkpoint."""
     lines = []

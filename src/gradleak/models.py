@@ -18,8 +18,7 @@ import numpy as np
 
 from ._kernels import fnv1a64
 from .errors import ContractError, GeometryError, ParseError, ShapeError
-from .graph import ExprGraph, NodeId
-from .ops import conv_output_size
+from .graph import ExprGraph, NodeId, conv_output_size
 from .tensor import Shape, SeedRng, Tensor
 
 ACTIVATION_KINDS = ("sigmoid", "relu")

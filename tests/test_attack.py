@@ -34,7 +34,6 @@ from gradleak import (
     meta_grad,
     one_hot,
     parse_model_text,
-    softmax,
     synth_image,
     victim_gradient,
 )
@@ -48,7 +47,7 @@ from gradleak.attack import (
 )
 from gradleak.cli import cli_main
 from gradleak.models import Activation, Conv, Dense, Flatten, Pool
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, rel_err, softmax_hp
 
 
 def _image(rng, h, w, c=1):
@@ -293,8 +292,7 @@ class TestDlgAttack:
         sharp = np.array([12.0, -12.0])  # logits strongly matching label 0
         truth_bundle = victim_gradient(params, x, one_hot(0, 2))
         # victim target for the fixed point must equal softmax(sharp logits)
-        from gradleak.ops import softmax as eager_softmax
-        matched = victim_gradient(params, x, eager_softmax(sharp))
+        matched = victim_gradient(params, x, Tensor(softmax_hp(sharp)))
         cfg = AttackConfig(eta=1.0, iterations=5, seed=0, checkpoints=(5,))
         init = VirtualSample(x, Tensor(sharp))
         sample, trace = dlg_attack(spec, params, matched, cfg, truth=x, init=init)
@@ -339,9 +337,8 @@ class TestDlgAttack:
         # start at a near-perfect match (tiny initial distance), then take a
         # huge step: the distance explodes past the guard on iteration 2
         spec, params, x, bundle = _victim_setup(4)
-        from gradleak.ops import softmax as eager_softmax
         sharp = np.array([15.0, -15.0])
-        matched = victim_gradient(params, x, eager_softmax(sharp))
+        matched = victim_gradient(params, x, Tensor(softmax_hp(sharp)))
         noisy = Tensor(x.array + 0.01 * SeedRng(99).normal_array(x.shape))
         cfg = AttackConfig(eta=1e7, iterations=400, seed=3, checkpoints=(1, 2, 400))
         with pytest.raises(DivergenceError) as err:
@@ -440,7 +437,7 @@ def test_one_gd_plan_serves_any_capture():
     run = ag.graph.evaluator([ag.distance, meta[ag.x], meta[ag.y]])
     rng = SeedRng(7)
     x, y = rng.normal_array(spec.input_shape), rng.normal_array((spec.classes,))
-    at_point = victim_gradient(params, Tensor(x), softmax(Tensor(y)))
+    at_point = victim_gradient(params, Tensor(x), Tensor(softmax_hp(y)))
     bindings = {name: t.array for name, t in params.flat()}
     bindings.update(x=x, y=y)
     for capture in (first, second):

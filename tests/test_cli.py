@@ -138,6 +138,21 @@ def test_attack_jobs_is_a_usage_error(workspace, capsys):
     assert not out.exists()
 
 
+def test_attack_repeated_seed_exits_2_and_writes_nothing(workspace, capsys):
+    # a repeated seed would run one attack twice into the same seed_<s>
+    tmp, model, image = workspace
+    grad_path = tmp / "g.glkb"
+    cli_main(["victim-grad", "--model", str(model), "--image", str(image),
+              "--label", "0", "--seed", "5", "--out", str(grad_path)])
+    capsys.readouterr()
+    out = tmp / "repeated"
+    assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
+                     "--model-seed", "5", "--seed", "1,2,1", "--iters", "2",
+                     "--out", str(out)]) == 2
+    assert "seeds must be unique, got (1, 2, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--optimizer", "gauss-newton", "--eta", "nan"], "eta must be positive and finite"),
     (["--improved", "--lambda", "nan"], "lambda_mean must be finite"),

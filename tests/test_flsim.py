@@ -32,12 +32,20 @@ from gradleak import (
     write_bundle,
 )
 from gradleak.models import Dense, Flatten
-from gradleak.ops import avg_pool2d, conv2d, sigmoid, softmax
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, loop_avg_pool, loop_conv2d, rel_err, softmax_hp
 
 
 def _image(rng, h, w, c=1):
     return Tensor(np.array([rng.uniform() for _ in range(h * w * c)]).reshape(h, w, c))
+
+
+def _loop_features(params, x):
+    """The conv/pool stack of the default attack model, run by the loop oracles."""
+    a = x.array
+    for conv in ("conv1", "conv2"):
+        a = loop_conv2d(a, params.weights[conv]["W"].array, stride=1, padding=2)
+        a = loop_avg_pool(1.0 / (1.0 + np.exp(-a)), 2, 2)
+    return a.reshape(-1)
 
 
 def test_final_bias_gradient_is_softmax_minus_target():
@@ -47,14 +55,10 @@ def test_final_bias_gradient_is_softmax_minus_target():
     target = one_hot(2, 3)
     bundle = victim_gradient(params, x, target)
 
-    # independent forward pass with the eager ops
-    a = conv2d(x, params.weights["conv1"]["W"], stride=1, zero_padding=2)
-    a = avg_pool2d(sigmoid(a), 2, 2)
-    a = conv2d(a, params.weights["conv2"]["W"], stride=1, zero_padding=2)
-    a = avg_pool2d(sigmoid(a), 2, 2)
-    feats = a.array.reshape(-1)
+    # independent forward pass with the loop and high-precision oracles
+    feats = _loop_features(params, x)
     logits = params.weights["fc1"]["W"].array @ feats + params.weights["fc1"]["B"].array
-    probs = softmax(logits).array
+    probs = softmax_hp(logits)
 
     got = bundle.get("fc1.B").array
     assert np.allclose(got, probs - target.array, rtol=1e-12, atol=1e-15)
@@ -69,12 +73,7 @@ def test_dense_layer_input_recovered_through_full_cnn():
     params = build_model(spec, SeedRng(4))
     x = _image(SeedRng(5), 12, 12)
     bundle = victim_gradient(params, x, one_hot(0, 2))
-
-    a = conv2d(x, params.weights["conv1"]["W"], stride=1, zero_padding=2)
-    a = avg_pool2d(sigmoid(a), 2, 2)
-    a = conv2d(a, params.weights["conv2"]["W"], stride=1, zero_padding=2)
-    a = avg_pool2d(sigmoid(a), 2, 2)
-    feats = a.array.reshape(-1)
+    feats = _loop_features(params, x)
 
     recovered = fc_analytic_reconstruct(bundle.get("fc1.W"), bundle.get("fc1.B")).array
     worst = max(rel_err(r, f, 1e-12) for r, f in zip(recovered, feats))
@@ -232,7 +231,7 @@ class TestVictimPlan:
         run_graph = lg.graph.evaluator([grads[node] for node in lg.param_nodes.values()])
         run_plan = flsim.gradient_plan(params)
         other = (synth_image("light-background", 12, 12, 1, 4).to_tensor(),
-                 softmax(Tensor([0.3, -1.2])))
+                 Tensor(softmax_hp([0.3, -1.2])))
         for pair in ((x, target), other):
             bindings = loss_bindings(params, *pair)
             want = [t.array for _, t in victim_gradient(params, *pair).tensors]

@@ -11,7 +11,6 @@ from gradleak import (
     mse_255,
     mse_unit,
     report_kv,
-    report_tsv,
 )
 from gradleak.attack import AttackTrace, TraceRecord
 from oracles import loop_mse_255
@@ -107,12 +106,6 @@ class TestConvergenceReport:
 
     def test_renderings(self):
         report = convergence_report(_trace(SERIES))
-        tsv = report_tsv(report)
-        lines = tsv.strip().split("\n")
-        assert lines[0] == "iteration\tdistance\tmse_255"
-        assert len(lines) == 6
-        assert lines[1].startswith("20\t")
-
         kv = report_kv(report)
         assert "checkpoint: 200" in kv
         assert "monotone_mse: true" in kv

@@ -1,11 +1,13 @@
 """Module-level checks: annotations resolve, every import is used (in the
-tests too), and the cli imports stay lean."""
+tests too), the README names only modules that exist, and the cli imports
+stay lean."""
 
 import ast
 import importlib.util
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
@@ -74,6 +76,15 @@ def test_every_import_is_used(path):
     # the package __init__, whose imports are re-exports, is not among MODULES
     with open(path, encoding="utf-8") as fh:
         assert _unused_imports(fh.read()) == []
+
+
+def test_readme_layout_names_only_package_modules():
+    # a deleted module's row cannot linger in the README's Layout table
+    with open(os.path.join(os.path.dirname(TESTS), "README.md"), encoding="utf-8") as fh:
+        layout = fh.read().split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(gradleak\.\w+)` \|", layout, flags=re.MULTILINE)
+    assert rows
+    assert [m for m in rows if m not in MODULES] == []
 
 
 def test_cli_import_leaves_out_the_worker_pool():
