@@ -13,10 +13,8 @@ from .attack import (
     AttackTrace,
     TraceRecord,
     VirtualSample,
-    bundle_sq_distance,
     dlg_attack,
     fc_analytic_reconstruct,
-    fc_reconstruction_spread,
     gradient_distance,
     improved_dlg,
     infer_label_from_bundle,
@@ -26,7 +24,6 @@ from .attack import (
 from .errors import (
     AmbiguityError,
     BiasGradientVanishesError,
-    CapabilityError,
     ContractError,
     DivergenceError,
     GeometryError,

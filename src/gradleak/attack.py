@@ -166,19 +166,6 @@ def gradient_distance(g: ExprGraph, virtual_grads: Mapping[str, NodeId]) -> Node
     return total
 
 
-def bundle_sq_distance(a: GradientBundle, b: GradientBundle) -> float:
-    """Eager sum of squared differences between two bundles' tensors."""
-    if a.names() != b.names():
-        raise IncompatibilityError("bundle_sq_distance: tensor names differ")
-    total = 0.0
-    for (name, ta), (_, tb) in zip(a.tensors, b.tensors):
-        if ta.shape != tb.shape:
-            raise IncompatibilityError(f"bundle_sq_distance: tensor {name!r} shapes differ")
-        d = ta.array - tb.array
-        total += float((d * d).sum())
-    return total
-
-
 def mean_anchor_penalty(g: ExprGraph, x: NodeId, weight: float) -> NodeId:
     """weight * (1/P) * sum((x - mean(x))^2), with the mean kept inside the
     graph so its dependence on x enters the derivative in full."""
@@ -209,22 +196,6 @@ def fc_analytic_reconstruct(grad_weight, grad_bias) -> Tensor:
             f"all bias-gradient entries are within {_FC_BIAS_TOL} of zero"
         )
     return Tensor(gw[row] / gb[row])
-
-
-def fc_reconstruction_spread(grad_weight, grad_bias) -> float:
-    """Diagnostic: worst disagreement between the per-row reconstructions.
-
-    Near zero for a consistent gradient pair; a large spread means the bundle
-    was not produced by a single forward/backward pass of this layer.
-    """
-    gw = as_array(grad_weight)
-    gb = as_array(grad_bias)
-    best = fc_analytic_reconstruct(gw, gb).array
-    rows = np.nonzero(np.abs(gb) > _FC_BIAS_TOL)[0]
-    spread = 0.0
-    for r in rows:
-        spread = max(spread, float(np.max(np.abs(gw[r] / gb[r] - best))))
-    return spread
 
 
 def infer_label_from_bundle(target: GradientBundle) -> int:
@@ -308,8 +279,7 @@ def _build_attack_graph(params: ModelParams, cfg: AttackConfig) -> _AttackGraph:
 
 
 # each stepper is built at the starting point and holds the current image
-# `x`, label logits or target `y` and `distance`; `step()` moves it once and
-# returns the distance at the point it left
+# `x`, label logits or target `y` and `distance`; `step()` moves it once
 
 
 class _GdStepper:
@@ -336,7 +306,7 @@ class _GdStepper:
         dist, self._gx, self._gy = self._eval(self._bindings)
         self.distance = float(dist)
 
-    def step(self) -> float:
+    def step(self) -> None:
         left, x, y, gx, gy = self.distance, self.x, self.y, self._gx, self._gy
         self._move_to(x - self._eta * gx, y - self._eta * gy)
         tries = 0
@@ -346,7 +316,6 @@ class _GdStepper:
             self.step_events += 1
             tries += 1
             self._move_to(x - self._eta * gx, y - self._eta * gy)
-        return left
 
 
 class _GaussNewtonStepper:
@@ -435,10 +404,10 @@ class _GaussNewtonStepper:
             jt[b : b + _GN_JAC_BLOCK] += np.outer(s[b : b + _GN_JAC_BLOCK], u)
         self._secant_updates += 1
 
-    def step(self) -> float:
-        left = self.distance
+    def step(self) -> None:
         if self._held:
-            return left
+            return
+        left = self.distance
         z, r = self._z, self._r
         if self._jt is None:
             self._refresh()
@@ -459,7 +428,7 @@ class _GaussNewtonStepper:
                         self._jt = self._gram = None  # rebuilt at the next step
                     elif not self._held:
                         self._secant_update(step, rc - r)
-                    return left
+                    return
             if self._secant_updates:
                 self._refresh()  # retry from an exact Jacobian at the same mu
                 rhs = -(self._jt @ r)
@@ -468,7 +437,6 @@ class _GaussNewtonStepper:
             self.step_events += 1
             rejects += 1
         self._held = True  # no damping moves the point
-        return left
 
 
 def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
@@ -503,7 +471,8 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
     limit = _DIVERGENCE_FACTOR * max(stepper.distance, _DIVERGENCE_FLOOR)
 
     for i in range(1, cfg.iterations + 1):
-        dist = stepper.step()
+        stepper.step()
+        dist = stepper.distance
         if not np.isfinite(dist) or dist > limit:
             raise DivergenceError(
                 f"gradient distance {dist} exceeded {limit} at iteration {i}",

@@ -17,10 +17,6 @@ class ContractError(GradleakError):
     """An API precondition was violated by the caller."""
 
 
-class CapabilityError(GradleakError):
-    """A graph primitive lacks the derivative rule the requested differentiation needs."""
-
-
 class IncompatibilityError(GradleakError):
     """Two artifacts (bundles, specs, parameter sets) do not belong together."""
 

@@ -31,6 +31,12 @@ transposed convolutions, Dumoulin and Visin, arXiv:1603.07285), so no
 gradient is built full-size and cropped. Builders rewrite only two things:
 a node equal to an existing one (same op, inputs and params; a constant,
 same shape and bytes) is that node, and `rotswap(rotswap(k))` is `k`.
+
+The loss head is one primitive, `log_softmax`, with its max shift inside
+the rule: `softmax` is its exponential and `cross_entropy_logits` its
+target-weighted sum, and its derivative rule is built from `exp`, `fill`
+and `sum_all`. Every primitive has a derivative rule, so `grad` reaches no
+op it cannot differentiate.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _kernels as k
-from .errors import CapabilityError, ContractError, GeometryError, ShapeError
+from .errors import ContractError, GeometryError, ShapeError
 from .tensor import Shape, Tensor, as_array
 
 # node id within a graph
@@ -183,9 +189,6 @@ class ExprGraph:
         # 1 where a > 0 else 0; derivative defined as 0 everywhere
         return self._append("step", (a,), self.shape_of(a))
 
-    def stop_grad(self, a: NodeId) -> NodeId:
-        return self._append("stop_grad", (a,), self.shape_of(a))
-
     # ------------------------------------------------------------- reductions
 
     def _all_axes(self, a: NodeId) -> tuple[int, ...]:
@@ -194,10 +197,6 @@ class ExprGraph:
 
     def sum_all(self, a: NodeId) -> NodeId:
         return self._append("sum_all", (a,), (), params=(self._all_axes(a),))
-
-    def max_all(self, a: NodeId) -> NodeId:
-        # no derivative rule on purpose; use behind stop_grad only
-        return self._append("max_all", (a,), (), params=(self._all_axes(a),))
 
     def fill(self, scalar: NodeId, shape: Iterable[int]) -> NodeId:
         if self.shape_of(scalar) != ():
@@ -332,31 +331,25 @@ class ExprGraph:
         y = self.corr2d(x, kernel, zero_padding)
         return y if stride == 1 else self.sslice2d(y, stride)
 
-    def softmax(self, v: NodeId) -> NodeId:
-        """Stable softmax; the max shift is detached, which leaves both the
-        value and the derivative of the true softmax unchanged."""
+    def log_softmax(self, v: NodeId) -> NodeId:
+        """log(softmax(v)) of a logit vector, shifted by its max inside the
+        rule so no exp overflows and the log probabilities stay finite
+        however saturated the logits get."""
         s = self.shape_of(v)
         if len(s) != 1:
-            raise ShapeError(f"softmax: logits must be a vector, got shape {s}")
-        shift = self.stop_grad(self.max_all(v))
-        e = self.exp(self.sub(v, self.fill(shift, s)))
-        return self.mul(e, self.fill(self.reciprocal(self.sum_all(e)), s))
+            raise ShapeError(f"log_softmax: logits must be a vector, got shape {s}")
+        return self._append("log_softmax", (v,), s)
+
+    def softmax(self, v: NodeId) -> NodeId:
+        """exp(log_softmax(v)): stable by the same shift, differentiated
+        through log_softmax's rule."""
+        return self.exp(self.log_softmax(v))
 
     def cross_entropy_logits(self, logits: NodeId, target: NodeId) -> NodeId:
-        """cross_entropy(softmax(logits), target) in log-sum-exp form.
-
-        Identical value and derivative, but the log probabilities stay finite
-        however saturated the logits get, so optimization cannot step the
-        graph into log(0).
-        """
-        s = self._same_shape("cross_entropy_logits", logits, target)
-        if len(s) != 1:
-            raise ShapeError(f"cross_entropy_logits: logits must be a vector, got {s}")
-        shift = self.stop_grad(self.max_all(logits))
-        shifted = self.sub(logits, self.fill(shift, s))
-        lse = self.log(self.sum_all(self.exp(shifted)))
-        log_probs = self.sub(shifted, self.fill(lse, s))
-        return self.neg(self.sum_all(self.mul(target, log_probs)))
+        """cross_entropy(softmax(logits), target) as -sum(target * log_softmax(logits)),
+        so optimization cannot step the graph into log(0)."""
+        self._same_shape("cross_entropy_logits", logits, target)
+        return self.neg(self.sum_all(self.mul(target, self.log_softmax(logits))))
 
     def sq_diff_sum(self, a: NodeId, b: NodeId) -> NodeId:
         d = self.sub(a, b)
@@ -518,10 +511,7 @@ def grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId) -> dict[NodeId, No
         node = graph.node(nid)
         if node.op in ("const", "var"):
             continue
-        rule = _VJP.get(node.op)
-        if rule is None:
-            raise CapabilityError(f"primitive {node.op!r} has no registered derivative rule")
-        for pos, contribution in rule(graph, nid, gbar):
+        for pos, contribution in _VJP[node.op](graph, nid, gbar):
             contribs.setdefault(node.inputs[pos], []).append(contribution)
 
     result: dict[NodeId, NodeId] = {}
@@ -536,8 +526,7 @@ def meta_grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId) -> dict[NodeI
     """Gradient of `of`, a distance whose value already embeds gradients.
 
     Mechanically identical to `grad`; the separate name marks the
-    second-order use. Raises CapabilityError naming the primitive if the
-    walk reaches an op without a derivative rule.
+    second-order use.
     """
     return grad(graph, wrt, of)
 
@@ -550,6 +539,11 @@ def meta_grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId) -> dict[NodeI
 def _margin(x: np.ndarray, m: int) -> np.ndarray:
     """A correlation's input as it sees it: zero-padded by m, or cropped by -m."""
     return k.pad2d(x, m) if m >= 0 else k.crop2d(x, -m)
+
+
+def _log_softmax(n, a):
+    shifted = a[0] - a[0].max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _fill(n, a):
@@ -569,9 +563,8 @@ _EVAL.update({
     "sigmoid": lambda n, a: k.sigmoid(a[0]),
     "relu": lambda n, a: np.maximum(a[0], 0.0),
     "step": lambda n, a: (a[0] > 0).astype(np.float64),
-    "stop_grad": lambda n, a: a[0],
     "sum_all": lambda n, a: np.asarray(a[0].sum(axis=n.params[0])),
-    "max_all": lambda n, a: np.asarray(a[0].max(axis=n.params[0])),
+    "log_softmax": _log_softmax,
     "fill": _fill,
     "reshape": lambda n, a: a[0].reshape(a[0].shape[: a[0].ndim - n.params[1]] + n.params[0]),
     "matvec": lambda n, a: np.matmul(a[0], a[1][..., None])[..., 0],
@@ -636,8 +629,14 @@ def _vjp_relu(g, nid, gbar):
 
 
 def _vjp_zero(g, nid, gbar):
-    # step has zero derivative everywhere by definition; stop_grad blocks flow
+    # step has zero derivative everywhere by definition
     return []
+
+
+def _vjp_log_softmax(g, nid, gbar):
+    # d out_i / d v_j = [i == j] - softmax_j, and softmax = exp(out)
+    (v,) = g.node(nid).inputs
+    return [(0, g.sub(gbar, g.mul(g.exp(nid), g.fill(g.sum_all(gbar), g.shape_of(v)))))]
 
 
 def _vjp_sum_all(g, nid, gbar):
@@ -720,8 +719,8 @@ _VJP.update({
     "sigmoid": _vjp_sigmoid,
     "relu": _vjp_relu,
     "step": _vjp_zero,
-    "stop_grad": _vjp_zero,
     "sum_all": _vjp_sum_all,
+    "log_softmax": _vjp_log_softmax,
     "fill": _vjp_fill,
     "reshape": _vjp_reshape,
     "matvec": _vjp_matvec,
@@ -734,5 +733,4 @@ _VJP.update({
     "dilate2d": _vjp_dilate2d,
     "avg_pool2d": _vjp_avg_pool2d,
     "avg_unpool2d": _vjp_avg_unpool2d,
-    # "max_all" is deliberately absent: it only ever appears behind stop_grad
 })

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class Dense:
     biased: bool = True
 
 
-Layer = Union[Conv, Activation, Pool, Flatten, Dense]
+Layer = Conv | Activation | Pool | Flatten | Dense
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,14 @@ def softmax_hp(v, digits=50):
     return np.array([float(e / s) for e in exps])
 
 
+def log_softmax_hp(v, digits=50):
+    """log(softmax(v)) evaluated in `digits`-digit decimal arithmetic."""
+    getcontext().prec = digits
+    xs = [Decimal(float(x)) for x in v]
+    lse = sum(x.exp() for x in xs).ln()
+    return np.array([float(x - lse) for x in xs])
+
+
 def cross_entropy_hp(probs, targets, digits=50):
     getcontext().prec = digits
     acc = Decimal(0)

@@ -104,6 +104,8 @@ def _primitive_scenarios():
         "reciprocal": ({"a": (4,)}, lambda g, v: g.reciprocal(g.exp(v["a"]))),
         "sigmoid": ({"a": (4,)}, lambda g, v: g.sigmoid(v["a"])),
         "relu": ({"a": (4,)}, lambda g, v: g.relu(g.add(v["a"], g.constant(np.full(4, 3.0))))),
+        "step": ({"a": (4,)},
+                 lambda g, v: g.mul(v["a"], g.step(g.add(v["a"], g.constant(np.full(4, 3.0)))))),
         "sum_all": ({"a": (3, 2)}, lambda g, v: g.sum_all(v["a"])),
         "fill": ({"a": ()}, lambda g, v: g.fill(v["a"], (5,))),
         "reshape": ({"a": (2, 3)}, lambda g, v: g.reshape(v["a"], (6,))),
@@ -125,6 +127,7 @@ def _primitive_scenarios():
         "dilate2d": ({"a": (3, 3, 2)}, lambda g, v: g.dilate2d(v["a"], 2, 6, 6)),
         "avg_pool2d": ({"a": (6, 6, 2)}, lambda g, v: g.avg_pool2d(v["a"], 2, 2)),
         "avg_unpool2d": ({"a": (3, 3, 2)}, lambda g, v: g.avg_unpool2d(v["a"], 2, 2, 6, 6)),
+        "log_softmax": ({"a": (5,)}, lambda g, v: g.log_softmax(v["a"])),
         "softmax": ({"a": (5,)}, lambda g, v: g.softmax(v["a"])),
         "cross_entropy": ({"a": (4,), "b": (4,)},
                           lambda g, v: graph_cross_entropy(g, g.softmax(v["a"]),

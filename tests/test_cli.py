@@ -153,6 +153,21 @@ def test_attack_repeated_seed_exits_2_and_writes_nothing(workspace, capsys):
     assert not out.exists()
 
 
+def test_attack_diverging_on_its_last_step_exits_3_and_writes_nothing(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text("input h=4 w=4 c=1\nflatten\ndense out=2 bias=yes\n", encoding="utf-8")
+    grad_path = tmp_path / "g.glkb"
+    assert cli_main(["victim-grad", "--model", str(model), "--image", "synth:blocks:4x4x1:3",
+                     "--label", "1", "--seed", "3", "--out", str(grad_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "diverged"
+    assert cli_main(["attack", "--model", str(model), "--grad", str(grad_path),
+                     "--model-seed", "3", "--seed", "4", "--iters", "1", "--eta", "1000",
+                     "--out", str(out)]) == 3
+    assert "at iteration 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--optimizer", "gauss-newton", "--eta", "nan"], "eta must be positive and finite"),
     (["--improved", "--lambda", "nan"], "lambda_mean must be finite"),

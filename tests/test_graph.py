@@ -4,7 +4,6 @@ import pytest
 from gradleak import (
     Activation,
     AttackConfig,
-    CapabilityError,
     ContractError,
     Conv,
     Dense,
@@ -25,7 +24,9 @@ from gradleak import (
 from gradleak import _kernels as kern
 from gradleak.attack import _build_attack_graph
 from gradleak.flsim import gradient_plan
+from gradleak.graph import _EVAL, _VJP
 from oracles import fd_gradient, graph_cross_entropy, rel_err, softmax_hp
+from test_acceptance import _primitive_scenarios
 
 
 def _rand(rng, shape, scale=1.0):
@@ -292,21 +293,16 @@ def test_relu_second_derivative_is_zero():
     assert val.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
-def test_missing_derivative_rule_names_the_primitive():
-    g = ExprGraph()
-    x = g.variable("x", (3,))
-    with pytest.raises(CapabilityError, match="max_all"):
-        grad(g, [x], of=g.max_all(x))
-
-
-def test_stop_grad_blocks_flow_but_keeps_value():
-    g = ExprGraph()
-    x = g.variable("x", ())
-    y = g.mul(x, g.stop_grad(x))  # d/dx = stop_grad(x) only
-    gm = grad(g, [x], of=y)
-    val, gval = (t.item() for t in g.eval({"x": np.asarray(3.0)}, [y, gm[x]]))
-    assert val == 9.0
-    assert gval == 3.0
+def test_every_primitive_has_a_derivative_rule_and_a_criterion_2_scenario():
+    # grad indexes the derivative rules by op, so an op evaluated without one
+    # would fail there; criterion 2 checks each rule against central differences
+    assert set(_EVAL) == set(_VJP)
+    covered = set()
+    for var_shapes, build in _primitive_scenarios().values():
+        g = ExprGraph()
+        out = build(g, {name: g.variable(name, shape) for name, shape in var_shapes.items()})
+        covered |= {g.op_of(n) for n in g._ancestors([out])}
+    assert sorted(set(_EVAL) - covered) == []
 
 
 def test_meta_grad_zero_at_exact_match():
@@ -630,7 +626,7 @@ def test_batched_residual_plan_is_stack_of_single_evaluations(name):
     g, outputs = _gradient_plan_nodes(params)
     nodes = sorted(g._ancestors(outputs))
     ops = {g.op_of(n) for n in nodes}
-    assert {"sum_all", "max_all", "fill", "reshape", "matvec", "matvec_t", "outer"} <= ops
+    assert {"sum_all", "log_softmax", "fill", "reshape", "matvec", "matvec_t", "outer"} <= ops
 
     xs = _rand(rng, (5,) + spec.input_shape)
     ys = _rand(rng, (5, spec.classes), scale=3.0)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from gradleak import ExprGraph, GeometryError, SeedRng, ShapeError, Tensor, conv2d
-from oracles import cross_entropy_hp, loop_affine, loop_avg_pool, loop_conv2d, softmax_hp
+from oracles import (
+    cross_entropy_hp,
+    log_softmax_hp,
+    loop_affine,
+    loop_avg_pool,
+    loop_conv2d,
+    softmax_hp,
+)
 
 # a hand-checkable 5x5 grid against a 3x3 kernel under flipped-kernel semantics
 FLIP_GRID_INPUT = [
@@ -166,6 +173,33 @@ class TestSoftmax:
             v = _rand(rng, (5,)) * 6
             got = _op("softmax", v).array
             want = softmax_hp(v)
+            assert np.abs(got - want).max() < 1e-14
+
+
+class TestLogSoftmax:
+    def test_uniform_logits(self):
+        assert _op("log_softmax", [0.0, 0.0]).tolist() == [-np.log(2.0)] * 2
+
+    def test_shift_invariance(self):
+        rng = SeedRng(13)
+        v = _rand(rng, (6,)) * 10
+        base = _op("log_softmax", v).array
+        for c in (-100.0, 3.7, 250.0):
+            assert np.abs(_op("log_softmax", v + c).array - base).max() < 1e-12
+
+    def test_saturated_logits_stay_finite(self):
+        # exp(-1600) underflows to 0, which log(softmax) would turn into -inf
+        assert _op("log_softmax", [800.0, -800.0]).tolist() == [0.0, -1600.0]
+
+    def test_matches_high_precision_oracle(self):
+        rng = SeedRng(43)
+        for _ in range(10):
+            v = _rand(rng, (5,)) * 6
+            got = _op("log_softmax", v).array
+            want = log_softmax_hp(v)
+            # |log p| < 13 here, where an ulp is at most 1.8e-15; the shift,
+            # the log-sum and the subtraction each round once, so softmax's
+            # absolute bound holds with room
             assert np.abs(got - want).max() < 1e-14
 
 
