@@ -69,7 +69,12 @@ def _load_image(spec: str) -> ImageBuffer:
 
 
 def _load_model(path: str) -> ModelSpec:
-    return parse_model_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"model file is not valid UTF-8: {e.reason}", e.start) from None
+    # the newline translation of a text-mode read
+    return parse_model_text(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:

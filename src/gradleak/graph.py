@@ -11,9 +11,9 @@ distance whose value already contains first-order gradients).
 
 Shapes are static: builders infer and check them at construction time, so a
 mis-wired model fails when it is assembled, not mid-evaluation. The graph is
-the package's one implementation of every operation: `conv_output_size` is
-the window arithmetic its builders and `ModelSpec` share, and the eager
-`conv2d` builds one graph convolution over two constants and evaluates it.
+the package's one implementation of every operation, shape rules included
+(a `ModelSpec` checks itself by wiring its layers into a scratch graph), and
+the eager `conv2d` builds one graph convolution over two constants.
 
 `evaluator` compiles the ancestors of its outputs once into a flat
 instruction list whose slots are node ids: constants, variables by name and
@@ -172,12 +172,6 @@ class ExprGraph:
 
     def exp(self, a: NodeId) -> NodeId:
         return self._append("exp", (a,), self.shape_of(a))
-
-    def log(self, a: NodeId) -> NodeId:
-        return self._append("log", (a,), self.shape_of(a))
-
-    def reciprocal(self, a: NodeId) -> NodeId:
-        return self._append("reciprocal", (a,), self.shape_of(a))
 
     def sigmoid(self, a: NodeId) -> NodeId:
         return self._append("sigmoid", (a,), self.shape_of(a))
@@ -558,8 +552,6 @@ _EVAL.update({
     "mul": lambda n, a: a[0] * a[1],
     "scale": lambda n, a: a[0] * n.params[0],
     "exp": lambda n, a: np.exp(a[0]),
-    "log": lambda n, a: np.log(a[0]),
-    "reciprocal": lambda n, a: 1.0 / a[0],
     "sigmoid": lambda n, a: k.sigmoid(a[0]),
     "relu": lambda n, a: np.maximum(a[0], 0.0),
     "step": lambda n, a: (a[0] > 0).astype(np.float64),
@@ -605,16 +597,6 @@ def _vjp_scale(g, nid, gbar):
 
 def _vjp_exp(g, nid, gbar):
     return [(0, g.mul(gbar, nid))]
-
-
-def _vjp_log(g, nid, gbar):
-    (a,) = g.node(nid).inputs
-    return [(0, g.mul(gbar, g.reciprocal(a)))]
-
-
-def _vjp_reciprocal(g, nid, gbar):
-    # d(1/x) = -y^2 dx, reusing the computed output y
-    return [(0, g.neg(g.mul(gbar, g.mul(nid, nid))))]
 
 
 def _vjp_sigmoid(g, nid, gbar):
@@ -714,8 +696,6 @@ _VJP.update({
     "mul": _vjp_mul,
     "scale": _vjp_scale,
     "exp": _vjp_exp,
-    "log": _vjp_log,
-    "reciprocal": _vjp_reciprocal,
     "sigmoid": _vjp_sigmoid,
     "relu": _vjp_relu,
     "step": _vjp_zero,

@@ -1,10 +1,12 @@
 """Attackable model descriptions: layer stacks, parameters, loss graphs.
 
-A ModelSpec is a declarative layer list with a fixed input shape. Shapes are
-walked at construction time with the standard sliding-window size formula, so
-an inconsistent stack never survives long enough to be built. The canonical
-text rendering of a spec doubles as its wire format and as the input of the
-64-bit digest that ties gradient bundles to the model they came from.
+A ModelSpec is a declarative layer list with a fixed input shape. At
+construction it wires its stack into a scratch `ExprGraph`, whose builders
+hold every shape rule, so an inconsistent stack never survives long enough
+to be built; its layer and parameter shapes are read off that graph. The
+canonical text rendering of a spec doubles as its wire format and as the
+input of the 64-bit digest that ties gradient bundles to the model they
+came from.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from ._kernels import fnv1a64
 from .errors import ContractError, GeometryError, ParseError, ShapeError
-from .graph import ExprGraph, NodeId, conv_output_size
+from .graph import ExprGraph, NodeId
 from .tensor import Shape, SeedRng, Tensor
 
 ACTIVATION_KINDS = ("sigmoid", "relu")
@@ -71,51 +73,25 @@ class ModelSpec:
             raise ShapeError(f"model input shape {self.input_shape} must be HxWxC")
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ContractError("model must end with a dense layer producing the logits")
-        self.layer_shapes  # walk once; raises on any inconsistency
+        self._shapes  # wire once; raises on any inconsistency
 
     @cached_property
+    def _shapes(self) -> tuple[tuple[Shape, ...], dict[str, Shape]]:
+        """Layer output shapes and parameter shapes, read off a scratch wiring."""
+        g = ExprGraph()
+        params: dict[str, Shape] = {}
+
+        def param(name: str, shape: Shape) -> NodeId:
+            params[name] = shape
+            return g.variable(name, shape)
+
+        outs = _wire(g, self, g.variable("x", self.input_shape), param)
+        return tuple(g.shape_of(n) for n in outs), params
+
+    @property
     def layer_shapes(self) -> tuple[Shape, ...]:
-        """Output shape after each layer, via the sliding-window size formula."""
-        shapes: list[Shape] = []
-        current: Shape = self.input_shape
-        for name, layer in self.named_layers():
-            if isinstance(layer, Conv):
-                if len(current) != 3:
-                    raise ShapeError(f"{name}: convolution needs an HxWxC input, got {current}")
-                try:
-                    oh = conv_output_size(current[0], layer.kernel, layer.stride, layer.padding)
-                    ow = conv_output_size(current[1], layer.kernel, layer.stride, layer.padding)
-                except GeometryError as e:
-                    raise GeometryError(f"{name}: {e}") from None
-                if layer.out_channels < 1:
-                    raise ShapeError(f"{name}: out_channels {layer.out_channels} must be positive")
-                current = (oh, ow, layer.out_channels)
-            elif isinstance(layer, Pool):
-                if len(current) != 3:
-                    raise ShapeError(f"{name}: pooling needs an HxWxC input, got {current}")
-                try:
-                    oh = conv_output_size(current[0], layer.window, layer.stride, 0)
-                    ow = conv_output_size(current[1], layer.window, layer.stride, 0)
-                except GeometryError as e:
-                    raise GeometryError(f"{name}: {e}") from None
-                current = (oh, ow, current[2])
-            elif isinstance(layer, Activation):
-                if layer.kind not in ACTIVATION_KINDS:
-                    raise ContractError(f"{name}: unknown activation {layer.kind!r}")
-            elif isinstance(layer, Flatten):
-                current = (math.prod(current),)
-            elif isinstance(layer, Dense):
-                if len(current) != 1:
-                    raise ShapeError(
-                        f"{name}: dense layer needs a flattened 1-D input, got {current}"
-                    )
-                if layer.out_dim < 1:
-                    raise ShapeError(f"{name}: out_dim {layer.out_dim} must be positive")
-                current = (layer.out_dim,)
-            else:
-                raise ContractError(f"{name}: unsupported layer {layer!r}")
-            shapes.append(current)
-        return tuple(shapes)
+        """Output shape after each layer."""
+        return self._shapes[0]
 
     @property
     def classes(self) -> int:
@@ -135,27 +111,10 @@ class ModelSpec:
                 other_n += 1
                 yield f"layer{other_n}", layer
 
-    def param_layers(self) -> list[tuple[str, Layer, Shape]]:
-        """(name, layer, input shape) for every layer that owns parameters."""
-        out = []
-        current: Shape = self.input_shape
-        for (name, layer), shape in zip(self.named_layers(), self.layer_shapes):
-            if isinstance(layer, (Conv, Dense)):
-                out.append((name, layer, current))
-            current = shape
-        return out
-
     def param_shapes(self) -> dict[str, Shape]:
-        """Flat tensor name ('conv1.W', 'fc1.B', ...) -> shape."""
-        shapes: dict[str, Shape] = {}
-        for name, layer, inp in self.param_layers():
-            if isinstance(layer, Conv):
-                shapes[f"{name}.W"] = (layer.kernel, layer.kernel, inp[2], layer.out_channels)
-            else:
-                shapes[f"{name}.W"] = (layer.out_dim, inp[0])
-                if layer.biased:
-                    shapes[f"{name}.B"] = (layer.out_dim,)
-        return shapes
+        """Flat tensor name ('conv1.W', 'fc1.B', ...) -> shape, in layer
+        order, W before B."""
+        return dict(self._shapes[1])
 
     def canonical_text(self) -> str:
         h, w, c = self.input_shape
@@ -297,40 +256,60 @@ def build_model(spec: ModelSpec, rng: SeedRng) -> ModelParams:
     so a seed pins every parameter bit for bit.
     """
     weights: dict[str, dict[str, Tensor]] = {}
-    shapes = spec.param_shapes()
-    for layer_name, layer, inp in spec.param_layers():
-        if isinstance(layer, Conv):
-            fan_in = layer.kernel * layer.kernel * inp[2]
-        else:
-            fan_in = inp[0]
-        scale = 1.0 / math.sqrt(fan_in)
-        entry: dict[str, Tensor] = {}
-        wshape = shapes[f"{layer_name}.W"]
-        entry["W"] = Tensor((rng.uniform_array(wshape) - 0.5) * scale)
-        bname = f"{layer_name}.B"
-        if bname in shapes:
-            entry["B"] = Tensor((rng.uniform_array(shapes[bname]) - 0.5) * scale)
-        weights[layer_name] = entry
+    for name, shape in spec.param_shapes().items():
+        layer_name, part = name.split(".")
+        if part == "W":  # fan-in: k*k*C of a kernel, the columns of a matrix
+            scale = 1.0 / math.sqrt(math.prod(shape[:3]) if len(shape) == 4 else shape[1])
+        weights.setdefault(layer_name, {})[part] = Tensor((rng.uniform_array(shape) - 0.5) * scale)
     return ModelParams(spec, weights)
+
+
+def _wire(g: ExprGraph, spec: ModelSpec, x: NodeId,
+          param: Callable[[str, Shape], NodeId | None]) -> list[NodeId]:
+    """Wire the spec's layer stack into g from input node x and return every
+    layer's output node. `param(name, shape)` gives each parameter's node, or
+    None for a bias left out. The graph builders enforce the shape rules; a
+    builder's error comes back as the same class with the layer name in front.
+    """
+    outs = []
+    for name, layer in spec.named_layers():
+        try:
+            if isinstance(layer, Conv):
+                if layer.kernel < 1:
+                    raise GeometryError(f"window {layer.kernel} must be positive")
+                if layer.out_channels < 1:
+                    raise ShapeError(f"out_channels {layer.out_channels} must be positive")
+                kernel = param(f"{name}.W", (layer.kernel, layer.kernel, g.shape_of(x)[-1],
+                                             layer.out_channels))
+                x = g.conv2d(x, kernel, layer.stride, layer.padding)
+            elif isinstance(layer, Activation):
+                if layer.kind not in ACTIVATION_KINDS:
+                    raise ContractError(f"unknown activation {layer.kind!r}")
+                x = getattr(g, layer.kind)(x)
+            elif isinstance(layer, Pool):
+                x = g.avg_pool2d(x, layer.window, layer.stride)
+            elif isinstance(layer, Flatten):
+                x = g.reshape(x, (math.prod(g.shape_of(x)),))
+            elif isinstance(layer, Dense):
+                if layer.out_dim < 1:
+                    raise ShapeError(f"out_dim {layer.out_dim} must be positive")
+                weight = param(f"{name}.W", (layer.out_dim, g.shape_of(x)[-1]))
+                bias = param(f"{name}.B", (layer.out_dim,)) if layer.biased else None
+                x = g.affine(weight, x, bias)
+            else:
+                raise ContractError(f"unsupported layer {layer!r}")
+        except (ShapeError, GeometryError, ContractError) as e:
+            raise type(e)(f"{name}: {e}") from None
+        outs.append(x)
+    return outs
 
 
 def build_logits(g: ExprGraph, spec: ModelSpec, x: NodeId,
                  param_nodes: Mapping[str, NodeId]) -> NodeId:
-    """Wire the spec's layer stack into g from input node to logits node."""
-    current = x
-    for name, layer in spec.named_layers():
-        if isinstance(layer, Conv):
-            current = g.conv2d(current, param_nodes[f"{name}.W"], layer.stride, layer.padding)
-        elif isinstance(layer, Activation):
-            current = g.sigmoid(current) if layer.kind == "sigmoid" else g.relu(current)
-        elif isinstance(layer, Pool):
-            current = g.avg_pool2d(current, layer.window, layer.stride)
-        elif isinstance(layer, Flatten):
-            current = g.reshape(current, (math.prod(g.shape_of(current)),))
-        else:
-            bias = param_nodes.get(f"{name}.B")
-            current = g.affine(param_nodes[f"{name}.W"], current, bias)
-    return current
+    """Wire the spec's layer stack into g from input node to logits node; a
+    dense layer whose bias `param_nodes` leaves out is wired without one."""
+    return _wire(g, spec, x, lambda name, shape: (
+        param_nodes.get(name) if name.endswith(".B") else param_nodes[name]))[-1]
 
 
 @dataclass(frozen=True)

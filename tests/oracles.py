@@ -162,9 +162,3 @@ def fd_gradient(run, bindings, name, h=1e-5):
         grad.ravel()[i] = (fp - fm) / (2.0 * h)
     bindings[name] = base
     return grad
-
-
-def graph_cross_entropy(g, probs, target):
-    """-sum(target * log(probs)) built from an `ExprGraph`'s primitives, the
-    naive form the package's log-sum-exp `cross_entropy_logits` replaces."""
-    return g.neg(g.sum_all(g.mul(target, g.log(probs))))

@@ -385,6 +385,21 @@ def test_corrupt_inputs_exit_2(tmp_path, capsys):
     assert "stride 0" in capsys.readouterr().err
 
 
+def test_model_file_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys):
+    bad_model = tmp_path / "bad.txt"
+    text = default_attack_spec(12, 12, 1, 2).canonical_text().encode("utf-8")
+    first, rest = text.split(b"\n", 1)
+    bad_model.write_bytes(first + b"\n# \xff\n" + rest)
+    out = tmp_path / "g.glkb"
+    assert cli_main(["victim-grad", "--model", str(bad_model),
+                     "--image", "synth:blocks:12x12x1:1", "--label", "0",
+                     "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gradleak: parse error: ")
+    assert err.rstrip().endswith(f"(at byte {len(first) + 3})")
+    assert not out.exists()
+
+
 def test_demo_runs_and_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["demo", "--seed", "7", "--out", str(a)]) == 0

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from gradleak import _kernels as kern
 from gradleak.attack import _build_attack_graph
 from gradleak.flsim import gradient_plan
 from gradleak.graph import _EVAL, _VJP
-from oracles import fd_gradient, graph_cross_entropy, rel_err, softmax_hp
+from oracles import fd_gradient, rel_err, softmax_hp
 from test_acceptance import _primitive_scenarios
 
 
@@ -104,15 +106,15 @@ def test_gradient_of_gradient_scalar():
 
 
 @pytest.mark.parametrize("case", [
-    "sigmoid", "relu", "exp", "log", "reciprocal", "add", "sub", "mul", "neg",
+    "sigmoid", "relu", "exp", "add", "sub", "mul", "neg",
     "scale", "sum_fill", "reshape", "matvec", "matvec_t", "outer",
     "pad_crop", "crop", "crop_corr", "crop_into_pad",
     "corr2d", "corr2d_pad", "corr2d_crop", "kgrad_corr", "kgrad_corr_pad", "kgrad_corr_crop",
     "rotswap", "sslice_dilate",
-    "avg_pool", "avg_unpool", "softmax", "cross_entropy", "sq_diff_sum",
+    "avg_pool", "avg_unpool", "softmax", "sq_diff_sum",
 ])
 def test_primitive_gradients_match_finite_differences(case):
-    rng = SeedRng(hash(case) & 0xFFFF)
+    rng = SeedRng(zlib.crc32(case.encode()) & 0xFFFF)
     g = ExprGraph()
     if case in ("sigmoid", "exp", "neg"):
         a = g.variable("a", (5,))
@@ -124,10 +126,6 @@ def test_primitive_gradients_match_finite_differences(case):
         vals = _rand(rng, (5,), 2.0)
         vals[np.abs(vals) < 0.1] = 0.5  # keep probes away from the kink
         bindings = {"a": vals}
-    elif case in ("log", "reciprocal"):
-        a = g.variable("a", (5,))
-        node = getattr(g, case)(a)
-        bindings = {"a": np.abs(_rand(rng, (5,), 2.0)) + 0.3}
     elif case in ("add", "sub", "mul"):
         a = g.variable("a", (4,))
         b = g.variable("b", (4,))
@@ -215,11 +213,6 @@ def test_primitive_gradients_match_finite_differences(case):
         a = g.variable("a", (5,))
         node = g.softmax(a)
         bindings = {"a": _rand(rng, (5,), 3.0)}
-    elif case == "cross_entropy":
-        a = g.variable("a", (4,))
-        b = g.variable("b", (4,))
-        node = graph_cross_entropy(g, g.softmax(a), g.softmax(b))
-        bindings = {"a": _rand(rng, (4,), 2.0), "b": _rand(rng, (4,), 2.0)}
     else:  # sq_diff_sum
         a = g.variable("a", (4,))
         b = g.variable("b", (4,))
@@ -264,7 +257,7 @@ def test_closure_under_double_differentiation_for_model_primitives():
     feat = g.avg_pool2d(g.sigmoid(g.conv2d(x, k, stride=1, zero_padding=1)), 3, 3)
     logits = g.affine(w, g.reshape(feat, (8,)), b)
     target = g.constant(np.array([0.5, 0.25, 0.2, 0.05]))
-    loss = graph_cross_entropy(g, g.softmax(logits), target)
+    loss = g.cross_entropy_logits(logits, target)
     first = grad(g, [x, k, w, b], of=loss)
     score = None
     for node in first.values():
@@ -360,7 +353,7 @@ def test_meta_grad_matches_finite_differences_on_tiny_mlp():
     b2 = g.variable("b2", (2,))
     hidden = g.sigmoid(g.affine(w1, x, b1))
     logits = g.affine(w2, hidden, b2)
-    loss = graph_cross_entropy(g, g.softmax(logits), g.softmax(y))
+    loss = g.cross_entropy_logits(logits, g.softmax(y))
     first = grad(g, [w2, b2], of=loss)
 
     w2_0 = _rand(rng, (2, 3))
@@ -662,6 +655,23 @@ def test_stack_bindings_check_the_leading_axis():
                 {"x": Stack(xs), "y": Stack(ys), "w": ys}):        # plain array of a stack's shape
         with pytest.raises(ShapeError):
             run(bad)
+
+
+@pytest.mark.parametrize("plan", ["baseline", "improved", "gn_residual"])
+def test_every_variable_stacked_gives_each_problem_as_if_alone(plan):
+    # three problems that share no binding: parameters, capture "T:<name>",
+    # image and label logits (or target) all differ, and every variable of
+    # the plan is bound as a Stack of the three
+    g, outputs = _gd_and_gn_plans()[plan]
+    rng = SeedRng(43)
+    problems = [{name: _rand(rng, g.shape_of(nid)) for name, nid in g.variables().items()}
+                for _ in range(3)]
+    assert any(name.startswith("T:") for name in problems[0]) == (plan != "gn_residual")
+    run = g.evaluator(outputs)
+    stacked = run({name: Stack([p[name] for p in problems]) for name in problems[0]})
+    for b, problem in enumerate(problems):
+        for got, want in zip(stacked, run(problem)):
+            assert got[b].tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------ evaluator contract

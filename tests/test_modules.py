@@ -78,6 +78,18 @@ def test_every_import_is_used(path):
         assert _unused_imports(fh.read()) == []
 
 
+def test_no_test_seeds_from_the_salted_builtin_hash():
+    # hash() of a str is salted per process, so a seed drawn from it moves
+    # every run's probe points; zlib.crc32 of the name is the same everywhere
+    seeded = []
+    for f in sorted(os.listdir(TESTS)):
+        if f.endswith(".py"):
+            with open(os.path.join(TESTS, f), encoding="utf-8") as fh:
+                seeded += [f"{f}: {line.strip()}" for line in fh
+                           if re.search(r"SeedRng\(.*\bhash\(", line)]
+    assert seeded == []
+
+
 def test_readme_layout_names_only_package_modules():
     # a deleted module's row cannot linger in the README's Layout table
     with open(os.path.join(os.path.dirname(TESTS), "README.md"), encoding="utf-8") as fh:
