@@ -4,7 +4,14 @@ Layout conventions: images/features are HxWxC, kernels are khxkwxCxD.
 Every kernel also accepts leading batch axes on its operands, (..., H, W, C)
 and (..., kh, kw, C, D), and works on the trailing axes only, so a stack of
 inputs gives the stack of the per-input results.
-All functions are pure; inputs are never mutated.
+All functions are pure: inputs of any layout are never mutated, and the
+in-place steps write only arrays the kernel allocated.
+
+The correlations are row-wise im2col: `_shifted_rows` lays the kw column
+shifts side by side with one strided view and one copy, then each kernel
+row is one GEMM. `avg_unpool` fills the disjoint cells of a window ==
+stride pool (the layer's own geometry) with one broadcast assignment;
+overlapping or gapped windows keep the loop.
 """
 
 from __future__ import annotations
@@ -26,12 +33,15 @@ def crop2d(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _shifted_rows(x: np.ndarray, kw: int, ow: int) -> np.ndarray:
-    """The kw column shifts of x side by side: (..., H, ow, kw * C), copied once."""
-    c = x.shape[-1]
-    rows = np.empty(x.shape[:-2] + (ow, kw * c), dtype=x.dtype)
-    for j in range(kw):
-        rows[..., j * c : (j + 1) * c] = x[..., j : j + ow, :]
-    return rows
+    """The kw column shifts of x side by side: (..., H, ow, kw * C), copied once.
+
+    Entry [..., r, o, j * C + c] is x[..., r, o + j, c], so the view's shift
+    axis repeats the column stride.
+    """
+    x = np.ascontiguousarray(x)
+    shifts = np.ndarray(x.shape[:-2] + (ow, kw, x.shape[-1]), x.dtype, x, 0,
+                        x.strides[:-1] + x.strides[-2:])
+    return shifts.reshape(x.shape[:-2] + (ow, kw * x.shape[-1]))
 
 
 def corr2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -88,24 +98,38 @@ def dilate2d(x: np.ndarray, s: int, h: int, w: int) -> np.ndarray:
 
 
 def avg_pool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """Mean over window x window cells placed every `stride` pixels."""
+    """Mean over window x window cells placed every `stride` pixels.
+
+    The cells are summed in (a, b) order from 0.0, so a -0.0 cell sum is +0.0.
+    """
     oh = (x.shape[-3] - window) // stride + 1
     ow = (x.shape[-2] - window) // stride + 1
     rows = (oh - 1) * stride + 1
     cols = (ow - 1) * stride + 1
-    total = np.zeros(x.shape[:-3] + (oh, ow, x.shape[-1]), dtype=x.dtype)
-    for a in range(window):
-        for b in range(window):
-            total += x[..., a : a + rows : stride, b : b + cols : stride, :]
-    return total / float(window * window)
+    cells = [x[..., a : a + rows : stride, b : b + cols : stride, :]
+             for a in range(window) for b in range(window)]
+    total = cells[0] + 0.0
+    for cell in cells[1:]:
+        total += cell
+    total /= float(window * window)
+    return total
 
 
 def avg_unpool(gy: np.ndarray, window: int, stride: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of avg_pool: spreads each cell's value/window^2 over its window."""
-    out = np.zeros(gy.shape[:-3] + (h, w, gy.shape[-1]), dtype=gy.dtype)
+    """Adjoint of avg_pool: spreads each cell's value/window^2 over its window.
+
+    Every pixel is 0.0 plus the shares of the windows covering it.
+    """
+    gh, gw, c = gy.shape[-3:]
+    out = np.zeros(gy.shape[:-3] + (h, w, c), dtype=gy.dtype)
     g = gy / float(window * window)
-    rows = (gy.shape[-3] - 1) * stride + 1
-    cols = (gy.shape[-2] - 1) * stride + 1
+    if window == stride:
+        cells = out[..., : gh * stride, : gw * stride, :].reshape(
+            gy.shape[:-3] + (gh, stride, gw, stride, c))
+        np.add(g[..., :, None, :, None, :], 0.0, out=cells)
+        return out
+    rows = (gh - 1) * stride + 1
+    cols = (gw - 1) * stride + 1
     for a in range(window):
         for b in range(window):
             out[..., a : a + rows : stride, b : b + cols : stride, :] += g
@@ -116,7 +140,10 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     """1/(1 + exp(-v)), masked into two branches so no exp ever overflows:
     v >= 0 takes 1/(1 + e) and v < 0 takes e/(1 + e), both with e = exp(-|v|)."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(v >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def fnv1a64(data: bytes) -> int:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 parse/format/compatibility error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -73,8 +74,9 @@ def _load_model(path: str) -> ModelSpec:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"model file is not valid UTF-8: {e.reason}", e.start) from None
-    # the newline translation of a text-mode read
-    return parse_model_text(text.replace("\r\n", "\n").replace("\r", "\n"))
+    # A lone CR ends a line as LF does (one byte for one, so offsets still
+    # count the file's bytes); a CRLF is left whole and its CR stripped per line.
+    return parse_model_text(re.sub("\r(?!\n)", "\n", text))
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:

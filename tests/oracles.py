@@ -69,6 +69,44 @@ def loop_avg_pool(x, window, stride):
     return out
 
 
+# Slice-loop forms of four `_kernels` functions; the kernels must match them
+# bit for bit, signed zeros included.
+def slice_loop_shifted_rows(x, kw, ow):
+    c = x.shape[-1]
+    rows = np.empty(x.shape[:-2] + (ow, kw * c), dtype=x.dtype)
+    for j in range(kw):
+        rows[..., j * c : (j + 1) * c] = x[..., j : j + ow, :]
+    return rows
+
+
+def slice_loop_avg_pool(x, window, stride):
+    oh = (x.shape[-3] - window) // stride + 1
+    ow = (x.shape[-2] - window) // stride + 1
+    rows = (oh - 1) * stride + 1
+    cols = (ow - 1) * stride + 1
+    total = np.zeros(x.shape[:-3] + (oh, ow, x.shape[-1]), dtype=x.dtype)
+    for a in range(window):
+        for b in range(window):
+            total += x[..., a : a + rows : stride, b : b + cols : stride, :]
+    return total / float(window * window)
+
+
+def slice_loop_avg_unpool(gy, window, stride, h, w):
+    out = np.zeros(gy.shape[:-3] + (h, w, gy.shape[-1]), dtype=gy.dtype)
+    g = gy / float(window * window)
+    rows = (gy.shape[-3] - 1) * stride + 1
+    cols = (gy.shape[-2] - 1) * stride + 1
+    for a in range(window):
+        for b in range(window):
+            out[..., a : a + rows : stride, b : b + cols : stride, :] += g
+    return out
+
+
+def two_quotient_sigmoid(v):
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def loop_mse_255(a, b):
     a = np.asarray(a, dtype=float).ravel()
     b = np.clip(np.asarray(b, dtype=float).ravel(), 0.0, 1.0)

@@ -400,6 +400,31 @@ def test_model_file_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_model_file_line_endings_parse_alike_and_offsets_count_file_bytes(
+        eol, tmp_path, capsys):
+    lines = default_attack_spec(12, 12, 1, 2).canonical_text().encode("utf-8").splitlines()
+    args = ["--image", "synth:blocks:12x12x1:1", "--label", "0", "--seed", "1"]
+    model = tmp_path / "model.txt"
+    model.write_bytes(b"\n".join(lines) + b"\n")
+    assert cli_main(["victim-grad", "--model", str(model), *args,
+                     "--out", str(tmp_path / "lf.glkb")]) == 0
+    model.write_bytes(eol.join(lines) + eol)
+    assert cli_main(["victim-grad", "--model", str(model), *args,
+                     "--out", str(tmp_path / "g.glkb")]) == 0
+    assert (tmp_path / "g.glkb").read_bytes() == (tmp_path / "lf.glkb").read_bytes()
+    capsys.readouterr()
+
+    lines[8] = b"dnese" + lines[8][len(b"dense"):]
+    data = eol.join(lines) + eol
+    model.write_bytes(data)
+    assert cli_main(["victim-grad", "--model", str(model), *args,
+                     "--out", str(tmp_path / "bad.glkb")]) == 2
+    err = capsys.readouterr().err
+    assert "line 9: unknown layer kind 'dnese'" in err
+    assert err.rstrip().endswith(f"(at byte {data.index(b'dnese')})")
+
+
 def test_demo_runs_and_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["demo", "--seed", "7", "--out", str(a)]) == 0

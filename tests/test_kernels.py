@@ -1,16 +1,20 @@
-"""Batch axes on the shared kernels: a stack of inputs gives the stack of
-the per-input results, bit for bit, since each entry goes through the same
-arithmetic as a lone input."""
+"""The shared kernels, bit for bit: a stack of inputs gives the stack of the
+per-input results, the layout and writeability of an operand change nothing,
+and the results equal the slice loops in `oracles`, signed zeros included."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from gradleak import SeedRng
 from gradleak import _kernels as k
+from gradleak.graph import _margin
 
 
 def _rand(rng, shape):
-    return np.array([rng.uniform() * 2 - 1 for _ in range(int(np.prod(shape)))]).reshape(shape)
+    return np.array([(rng.uniform() * 2 - 1) * 30
+                     for _ in range(int(np.prod(shape)))]).reshape(shape)
 
 
 # name -> (kernel call, operand shapes, which operands carry the batch axis)
@@ -25,7 +29,7 @@ CASES = {
     "dilate2d": (lambda a: k.dilate2d(a, 2, 7, 9), [(4, 5, 2)], (True,)),
     "avg_pool": (lambda a: k.avg_pool(a, 3, 2), [(9, 7, 2)], (True,)),
     "avg_unpool": (lambda a: k.avg_unpool(a, 3, 2, 9, 7), [(4, 3, 2)], (True,)),
-    "sigmoid": (lambda a: k.sigmoid(30.0 * a), [(6, 5, 3)], (True,)),
+    "sigmoid": (k.sigmoid, [(6, 5, 3)], (True,)),
 }
 
 
@@ -41,3 +45,66 @@ def test_batched_kernel_is_stack_of_single_results(case, lead):
                for i in range(int(np.prod(lead)))]
     want = np.stack(singles).reshape(lead + singles[0].shape)
     assert np.array_equal(got, want)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _cropped(a):
+    """A crop2d view holding a's values."""
+    pad = [(0, 0)] * a.ndim
+    pad[-3] = pad[-2] = (1, 1)
+    return k.crop2d(np.pad(a, pad, constant_values=np.nan), 1)
+
+
+LAYOUTS = {
+    "contiguous": lambda a: a.copy(),
+    "crop2d": _cropped,
+    "negative_stride": lambda a: np.flip(np.flip(a).copy()),
+    "swapaxes": lambda a: np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_ignores_operand_layout_and_never_writes_it(case, layout):
+    fn, shapes, _ = CASES[case]
+    rng = SeedRng(len(case))
+    operands = [_rand(rng, s) for s in shapes]
+    want = fn(*operands)
+    views = [LAYOUTS[layout](op) for op in operands]
+    for view in views:
+        view.flags.writeable = False  # as Tensor hands arrays over
+    got = fn(*views)
+    assert np.array_equal(got, want) and _same_bits(got, want)
+    assert all(_same_bits(view, op) for view, op in zip(views, operands))
+
+
+def _special_mix(seed, shape):
+    """Values in [-3, 3] with about a third replaced by +-0.0 or +-800."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-3.0, 3.0, shape)
+    special = rng.choice(np.array([0.0, -0.0, 800.0, -800.0]), shape)
+    return np.where(rng.uniform(size=shape) < 0.35, special, values)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lead=st.sampled_from([(), (2,), (2, 1)]),
+       pool=st.sampled_from([(2, 2), (3, 3), (3, 2), (2, 3)]),
+       h=st.integers(3, 9), w=st.integers(3, 9), c=st.integers(1, 3),
+       margin=st.integers(-1, 2), kw=st.integers(1, 3))
+def test_kernels_keep_the_bits_of_the_slice_loops(seed, lead, pool, h, w, c, margin, kw):
+    window, stride = pool
+    x = _special_mix(seed, lead + (h, w, c))
+    xm = _margin(x, margin)
+    ow = xm.shape[-2] - kw + 1
+    if ow >= 1:
+        assert _same_bits(k._shifted_rows(xm, kw, ow),
+                          oracles.slice_loop_shifted_rows(xm, kw, ow))
+    assert _same_bits(k.sigmoid(x), oracles.two_quotient_sigmoid(x))
+    pooled = oracles.slice_loop_avg_pool(x, window, stride)
+    assert _same_bits(k.avg_pool(x, window, stride), pooled)
+    gy = _special_mix(seed + 1, pooled.shape)
+    assert _same_bits(k.avg_unpool(gy, window, stride, h, w),
+                      oracles.slice_loop_avg_unpool(gy, window, stride, h, w))
