@@ -7,11 +7,13 @@ inputs gives the stack of the per-input results.
 All functions are pure: inputs of any layout are never mutated, and the
 in-place steps write only arrays the kernel allocated.
 
-The correlations are row-wise im2col: `_shifted_rows` lays the kw column
-shifts side by side with one strided view and one copy, then each kernel
-row is one GEMM. `avg_unpool` fills the disjoint cells of a window ==
-stride pool (the layer's own geometry) with one broadcast assignment;
-overlapping or gapped windows keep the loop.
+The correlations are row-wise im2col: `_row_blocks` copies the kw column
+shifts of every input row side by side once and views that copy as the kh
+overlapping blocks the kernel rows read, so each correlation is one stacked
+GEMM over the kernel rows. `corr2d` then sums the rows' products in row
+order. `avg_unpool` fills the disjoint cells of a window == stride pool
+(the layer's own geometry) with one broadcast assignment; overlapping or
+gapped windows keep the loop.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ def crop2d(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _shifted_rows(x: np.ndarray, kw: int, ow: int) -> np.ndarray:
-    """The kw column shifts of x side by side: (..., H, ow, kw * C), copied once.
+    """The kw column shifts of x side by side: (..., H, ow, kw * C).
 
-    Entry [..., r, o, j * C + c] is x[..., r, o + j, c], so the view's shift
-    axis repeats the column stride.
+    Entry [..., r, o, j * C + c] is x[..., r, o + j, c]. The result is a
+    view of the contiguous input whose shift axis repeats the column stride,
+    so its rows overlap until a reshape copies them.
     """
     x = np.ascontiguousarray(x)
     shifts = np.ndarray(x.shape[:-2] + (ow, kw, x.shape[-1]), x.dtype, x, 0,
@@ -44,36 +47,58 @@ def _shifted_rows(x: np.ndarray, kw: int, ow: int) -> np.ndarray:
     return shifts.reshape(x.shape[:-2] + (ow, kw * x.shape[-1]))
 
 
+def _row_blocks(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
+    """What each kernel row reads, stacked: (..., kh, oh*ow, kw*C).
+
+    Entry [..., i, r * ow + o, j * C + c] is x[..., i + r, o + j, c]. The
+    shifted rows are copied once into a (..., H * ow, kw * C) array; the
+    view's kernel-row axis steps ow rows of it, so the kh overlapping blocks
+    share that one copy.
+    """
+    rows = np.ascontiguousarray(
+        _shifted_rows(x, kw, ow).reshape(x.shape[:-3] + (x.shape[-3] * ow, -1)))
+    step, col = rows.strides[-2:]
+    return np.ndarray(x.shape[:-3] + (kh, oh * ow, rows.shape[-1]), x.dtype, rows, 0,
+                      rows.strides[:-2] + (ow * step, step, col))
+
+
 def corr2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Valid cross-correlation with stride 1; sums over input channels.
 
-    Row-wise im2col: with the kw column shifts copied once, kernel row i is
-    one (oh*ow, kw*C) @ (kw*C, D) product over input rows i .. i+oh-1.
+    One stacked GEMM gives every kernel row's (oh*ow, kw*C) @ (kw*C, D)
+    product, written kernel row first so each row's products are contiguous
+    for any leading axes. The rows are then summed by explicit adds in order
+    0, 1, ..., kh-1. A `sum` over the row axis would not keep that order:
+    NumPy sums pairwise when the reduced axis becomes its inner loop (a 1x1
+    output of one channel), which changes the low bits.
     """
     kh, kw, c, d = k.shape[-4:]
-    h = x.shape[-3]
-    oh, ow = h - kh + 1, x.shape[-2] - kw + 1
-    rows = _shifted_rows(x, kw, ow).reshape(x.shape[:-3] + (h * ow, kw * c))
-    kr = k.reshape(k.shape[:-4] + (kh, kw * c, d))
-    out = rows[..., : oh * ow, :] @ kr[..., 0, :, :]
-    for i in range(1, kh):
-        out += rows[..., i * ow : (i + oh) * ow, :] @ kr[..., i, :, :]
-    return out.reshape(out.shape[:-2] + (oh, ow, d))
+    oh, ow = x.shape[-3] - kh + 1, x.shape[-2] - kw + 1
+    # the leading axes, in a fraction of np.broadcast_shapes' few microseconds
+    lead = np.broadcast(x[..., 0, 0, 0], k[..., 0, 0, 0, 0]).shape
+    parts = np.empty((kh,) + lead + (oh * ow, d), dtype=x.dtype)
+    np.matmul(_row_blocks(x, kh, kw, oh, ow), k.reshape(k.shape[:-4] + (kh, kw * c, d)),
+              out=parts.transpose(*range(1, len(lead) + 1), 0, -2, -1))
+    out = parts[0]
+    if kh > 1:
+        out = out + parts[1]
+        for i in range(2, kh):
+            out += parts[i]
+    return out.reshape(lead + (oh, ow, d))
 
 
 def kgrad_corr(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Kernel-shaped correlation: out[a,b,c,d] = sum_ij x[a+i,b+j,c] * dy[i,j,d]."""
+    """Kernel-shaped correlation: out[a,b,c,d] = sum_ij x[a+i,b+j,c] * dy[i,j,d].
+
+    One stacked GEMM, blocks^T @ dy, writes all kh kernel rows; nothing is
+    summed across rows.
+    """
     oh, ow, d = dy.shape[-3:]
     h, w, c = x.shape[-3:]
     kh, kw = h - oh + 1, w - ow + 1
-    rows = _shifted_rows(x, kw, ow).reshape(x.shape[:-3] + (h * ow, kw * c))
-    dyf = dy.reshape(dy.shape[:-3] + (oh * ow, d))
-    lead = np.broadcast_shapes(x.shape[:-3], dy.shape[:-3])
-    out = np.empty(lead + (kh, kw * c, d), dtype=x.dtype)
-    for a in range(kh):
-        np.matmul(rows[..., a * ow : (a + oh) * ow, :].swapaxes(-1, -2), dyf,
-                  out=out[..., a, :, :])
-    return out.reshape(lead + (kh, kw, c, d))
+    blocks = _row_blocks(x, kh, kw, oh, ow)
+    out = blocks.swapaxes(-1, -2) @ dy.reshape(dy.shape[:-3] + (1, oh * ow, d))
+    return out.reshape(out.shape[:-2] + (kw, c, d))
 
 
 def rotswap(k: np.ndarray) -> np.ndarray:

@@ -414,10 +414,12 @@ class _GaussNewtonStepper:
         rhs = -(self._jt @ r)
         if self._mu is None:
             self._mu = _GN_DAMPING_SEED * max(float(self._gram.diagonal().max()), 1e-30)
-        eye = np.eye(z.size)
         rejects = 0
         while rejects < _GN_MAX_REJECTS_PER_STEP:
-            step = self._eta * np.linalg.solve(self._gram + self._mu * eye, rhs)
+            # gram + mu I without the identity: mu I adds +0.0 off the diagonal
+            damped = self._gram + 0.0
+            damped.flat[:: z.size + 1] += self._mu
+            step = self._eta * np.linalg.solve(damped, rhs)
             if np.isfinite(step).all() and np.abs(step).max() <= _GN_STEP_CAP:
                 cand = z + step
                 rc = self._rows(cand[None])[0]

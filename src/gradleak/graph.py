@@ -17,11 +17,12 @@ the eager `conv2d` builds one graph convolution over two constants.
 
 `evaluator` compiles the ancestors of its outputs once into a flat
 instruction list whose slots are node ids: constants, variables by name and
-shape, and one step per computed node holding its rule, its input ids and
-the ids whose last consumer it is. A call fills a plain list step by step
-and drops every value that is not an output after its last use. Rules look
-up `_kernels` functions when they run, so a wrapper installed on the module
-after a plan is compiled still sees every kernel call.
+shape, and one step per computed node holding its rule, a getter of its
+inputs (an `operator.itemgetter`, built once) and the ids whose last
+consumer it is. A call fills a plain list step by step and drops every
+value that is not an output after its last use. Rules look up `_kernels`
+functions when they run, so a wrapper installed on the module after a plan
+is compiled still sees every kernel call.
 
 Correlations carry a signed margin: `corr2d` and `kgrad_corr` zero-pad
 their input by it, or crop it when the margin is negative. The input
@@ -42,6 +43,7 @@ op it cannot differentiate.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -366,7 +368,8 @@ class ExprGraph:
         """Compile an evaluation plan; returns bindings -> list of ndarrays.
 
         The plan is the id-sorted ancestor set of the outputs, resolved once
-        into the instruction list described above, so shared
+        into the instruction list described above; each step hands its rule
+        the sequence its input getter takes from the value list. Shared
         subexpressions are computed once per call, no value outlives its last
         consumer unless it is an output, and the plan stays valid as the
         graph grows. A variable is bound to an array of exactly its shape, or
@@ -393,8 +396,10 @@ class ExprGraph:
                 consts.append((nid, node.payload))
             elif node.op == "var":
                 variables.append((nid, node.params[0], node.shape))
-            else:
-                steps.append((nid, _EVAL[node.op], node, node.inputs, tuple(dies_at.get(nid, ()))))
+            else:  # one input is got as a slice, so a rule still gets a sequence
+                ins = node.inputs
+                get = itemgetter(*ins) if len(ins) > 1 else itemgetter(slice(ins[0], ins[0] + 1))
+                steps.append((nid, _EVAL[node.op], node, get, tuple(dies_at.get(nid, ()))))
         out_shapes = [nodes[o].shape for o in key]
         n_vals = order[-1] + 1
 
@@ -420,8 +425,8 @@ class ExprGraph:
                         f"variable expects {shape}"
                     )
                 vals[nid] = arr
-            for nid, rule, node, ins, dead in steps:
-                vals[nid] = rule(node, [vals[i] for i in ins])
+            for nid, rule, node, get, dead in steps:
+                vals[nid] = rule(node, get(vals))
                 for d in dead:
                     vals[d] = None
             if size is None:

@@ -69,14 +69,42 @@ def loop_avg_pool(x, window, stride):
     return out
 
 
-# Slice-loop forms of four `_kernels` functions; the kernels must match them
-# bit for bit, signed zeros included.
+# Slice-loop and row-loop forms of six `_kernels` functions; the kernels must
+# match them bit for bit, signed zeros included.
 def slice_loop_shifted_rows(x, kw, ow):
     c = x.shape[-1]
     rows = np.empty(x.shape[:-2] + (ow, kw * c), dtype=x.dtype)
     for j in range(kw):
         rows[..., j * c : (j + 1) * c] = x[..., j : j + ow, :]
     return rows
+
+
+def row_loop_corr2d(x, k):
+    """One GEMM per kernel row, accumulated in row order 0, 1, ..., kh-1."""
+    kh, kw, c, d = k.shape[-4:]
+    h = x.shape[-3]
+    oh, ow = h - kh + 1, x.shape[-2] - kw + 1
+    rows = slice_loop_shifted_rows(x, kw, ow).reshape(x.shape[:-3] + (h * ow, kw * c))
+    kr = k.reshape(k.shape[:-4] + (kh, kw * c, d))
+    out = rows[..., : oh * ow, :] @ kr[..., 0, :, :]
+    for i in range(1, kh):
+        out += rows[..., i * ow : (i + oh) * ow, :] @ kr[..., i, :, :]
+    return out.reshape(out.shape[:-2] + (oh, ow, d))
+
+
+def row_loop_kgrad_corr(x, dy):
+    """One GEMM per kernel row, each written into its row of the result."""
+    oh, ow, d = dy.shape[-3:]
+    h, w, c = x.shape[-3:]
+    kh, kw = h - oh + 1, w - ow + 1
+    rows = slice_loop_shifted_rows(x, kw, ow).reshape(x.shape[:-3] + (h * ow, kw * c))
+    dyf = dy.reshape(dy.shape[:-3] + (oh * ow, d))
+    lead = np.broadcast_shapes(x.shape[:-3], dy.shape[:-3])
+    out = np.empty(lead + (kh, kw * c, d), dtype=x.dtype)
+    for a in range(kh):
+        np.matmul(rows[..., a * ow : (a + oh) * ow, :].swapaxes(-1, -2), dyf,
+                  out=out[..., a, :, :])
+    return out.reshape(lead + (kh, kw, c, d))
 
 
 def slice_loop_avg_pool(x, window, stride):

@@ -706,6 +706,55 @@ def test_drop_after_last_use_keeps_outputs_and_bound_arrays():
     assert [a.shape for a in stacked] == [(2, 3), (2,), (2, 3), (2, 3), (2, 3), (2, 2)]
 
 
+def _keep_every_node(g, outputs, bindings):
+    """Every node from id 0 up, each rule on a fresh list of its inputs and
+    no value dropped; a stacked output is broadcast to the stack's length."""
+    vals, size = [], None
+    for nid in range(max(outputs) + 1):
+        node = g.node(nid)
+        if node.op == "const":
+            vals.append(node.payload)
+        elif node.op == "var":
+            v = bindings[node.params[0]]
+            if isinstance(v, Stack):
+                v = v.points
+                size = len(v)
+            vals.append(v)
+        else:
+            vals.append(_EVAL[node.op](node, [vals[i] for i in node.inputs]))
+    if size is None:
+        return [vals[o] for o in outputs]
+    return [np.broadcast_to(vals[o], (size,) + g.shape_of(o)) for o in outputs]
+
+
+def test_compiled_plan_matches_an_evaluator_that_keeps_every_node():
+    g = ExprGraph()
+    x = g.variable("x", (5, 5, 1))
+    kr = g.variable("k", (3, 3, 1, 2))
+    t = g.variable("t", (3, 3, 2))
+    s = g.sigmoid(g.corr2d(x, kr))
+    e = g.exp(s)
+    d = g.sub(e, t)
+    loss = g.sq_diff_sum(e, t)
+    assert g.node(g.node(loss).inputs[0]).inputs == (d, d)  # mul(d, d)
+    total = g.add(loss, g.sum_all(g.add(g.mul(s, s), g.scale(d, 0.5))))
+    outputs = [total, d, g.reshape(e, (18,))]
+    outputs += list(grad(g, [x, kr, t], total).values())
+    plan = sorted(g._ancestors(outputs))
+    assert any(len(g.node(n).inputs) == 1 for n in plan)
+    last = {i: n for n in plan for i in g.node(n).inputs}
+    assert any(g.node(n).inputs == (v, v) for v, n in last.items() if v not in outputs)
+    run = g.evaluator(outputs)
+
+    rng = SeedRng(53)
+    plain = {"x": _rand(rng, (5, 5, 1)), "k": _rand(rng, (3, 3, 1, 2)), "t": _rand(rng, (3, 3, 2))}
+    stacked = {**plain, "x": Stack(_rand(rng, (3, 5, 5, 1))), "t": Stack(_rand(rng, (3, 3, 3, 2)))}
+    for bindings in (plain, stacked):
+        got, want = run(bindings), _keep_every_node(g, outputs, bindings)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 @pytest.mark.parametrize("plan", ["baseline", "improved", "gn_residual"])
 def test_attack_plans_give_each_output_as_if_alone(plan):
     # in the GN residual (victim gradient) plan the last bias gradient is an

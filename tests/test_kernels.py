@@ -93,18 +93,40 @@ def _special_mix(seed, shape):
 @given(seed=st.integers(0, 2**32 - 1), lead=st.sampled_from([(), (2,), (2, 1)]),
        pool=st.sampled_from([(2, 2), (3, 3), (3, 2), (2, 3)]),
        h=st.integers(3, 9), w=st.integers(3, 9), c=st.integers(1, 3),
-       margin=st.integers(-1, 2), kw=st.integers(1, 3))
-def test_kernels_keep_the_bits_of_the_slice_loops(seed, lead, pool, h, w, c, margin, kw):
+       margin=st.integers(-1, 2), kh=st.integers(1, 4), kw=st.integers(1, 3),
+       d=st.integers(1, 3), k_lead=st.sampled_from([(), (1,), (2,)]),
+       dy_lead=st.sampled_from([(), (1,), (2,)]))
+def test_kernels_keep_the_bits_of_the_slice_loops(seed, lead, pool, h, w, c, margin,
+                                                  kh, kw, d, k_lead, dy_lead):
     window, stride = pool
     x = _special_mix(seed, lead + (h, w, c))
     xm = _margin(x, margin)
-    ow = xm.shape[-2] - kw + 1
+    oh, ow = xm.shape[-3] - kh + 1, xm.shape[-2] - kw + 1
     if ow >= 1:
         assert _same_bits(k._shifted_rows(xm, kw, ow),
                           oracles.slice_loop_shifted_rows(xm, kw, ow))
+    if oh >= 1 and ow >= 1:
+        kernel = _special_mix(seed + 2, k_lead + (kh, kw, c, d))
+        assert _same_bits(k.corr2d(xm, kernel), oracles.row_loop_corr2d(xm, kernel))
+        dy = _special_mix(seed + 3, dy_lead + (oh, ow, d))
+        assert _same_bits(k.kgrad_corr(xm, dy), oracles.row_loop_kgrad_corr(xm, dy))
     assert _same_bits(k.sigmoid(x), oracles.two_quotient_sigmoid(x))
     pooled = oracles.slice_loop_avg_pool(x, window, stride)
     assert _same_bits(k.avg_pool(x, window, stride), pooled)
     gy = _special_mix(seed + 1, pooled.shape)
     assert _same_bits(k.avg_unpool(gy, window, stride, h, w),
                       oracles.slice_loop_avg_unpool(gy, window, stride, h, w))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("kh", [1, 8, 9])
+def test_correlations_keep_the_row_order_of_tall_kernels(kh, lead):
+    # a 1x1 output of one channel makes the kernel-row axis the only one a
+    # reduction over it would loop over, which is where NumPy sums pairwise
+    for seed in range(8):
+        for (h, w, c), (kw, d) in (((kh, 3, 1), (3, 1)), ((kh + 2, 5, 2), (3, 3))):
+            x = _special_mix(seed, lead + (h, w, c))
+            kernel = _special_mix(seed + 100, lead + (kh, kw, c, d))
+            dy = _special_mix(seed + 200, lead + (h - kh + 1, w - kw + 1, d))
+            assert _same_bits(k.corr2d(x, kernel), oracles.row_loop_corr2d(x, kernel))
+            assert _same_bits(k.kgrad_corr(x, dy), oracles.row_loop_kgrad_corr(x, dy))
