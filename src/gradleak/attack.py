@@ -329,16 +329,19 @@ class _GaussNewtonStepper:
     iteration solves (J^T J + mu I) delta = -J^T r and scales the step by
     eta; mu shrinks on success and grows on rejection.
 
-    The Jacobian is kept transposed (`jt`, one row per pixel), together with
-    its Gram matrix `gram` = jt jt^T. A full Jacobian comes from forward
-    differences evaluated for a stack of perturbed points per call of the
-    residual plan. Between those refreshes, each accepted step s with
-    residual change dr applies Broyden's secant update
-    jt += s u^T, u = (dr - jt^T s) / (s.s), and the matching rank-two
-    correction to `gram`. The full Jacobian is rebuilt after
-    _GN_BROYDEN_REFRESH secant updates, and at the same point when a step
-    computed from secant updates is rejected; that retry keeps mu and is no
-    step event.
+    The Jacobian is kept transposed, one row per pixel, in factored form:
+    jt = jt0 + sum_k s_k u_k^T, where `jt0` is a forward-difference Jacobian
+    (a stack of perturbed points per call of the residual plan) that is never
+    written after it is built, and each pair (s_k, u_k) is one of Broyden's
+    secant updates. Beside it the stepper keeps the Gram matrix
+    `gram` = jt jt^T and `jr` = jt r at the current point, so the right-hand
+    side is -jr. An accepted step s with residual change dr appends the pair
+    (s, u), u = (dr - jt^T s) / (s.s), corrects `gram` by rank two and moves
+    `jr` to the new point; jt^T s and jt r_new are its only two passes over
+    `jt0`, and jt u comes from them and `gram` without a third. The Jacobian
+    is rebuilt after _GN_BROYDEN_REFRESH secant updates, and at the same point
+    when a step computed from secant updates is rejected; that retry keeps mu
+    and is no step event.
 
     The point is held, and nothing is evaluated again, once the distance
     falls to the freeze threshold or a step from a fresh Jacobian rejects
@@ -356,8 +359,8 @@ class _GaussNewtonStepper:
         self._shape = x.shape
         self.step_events = 0
         self._mu: float | None = None  # seeded from the first Gram diagonal
-        self._jt = self._gram = None  # built at the first active step
-        self._secant_updates = 0
+        self._jt0 = self._gram = self._jr = None  # built at the first active step
+        self._pairs: list[tuple[np.ndarray, np.ndarray]] = []  # secant (s_k, u_k)
         z = x.ravel()
         self._move_to(z, self._rows(z[None])[0])
 
@@ -382,36 +385,42 @@ class _GaussNewtonStepper:
             idx = np.arange(min(_GN_JAC_BLOCK, n - s))
             zp = np.repeat(z[None, :], idx.size, axis=0)
             zp[idx, s + idx] += _GN_FD_STEP
-            jt[s : s + idx.size] = (self._rows(zp) - r) / _GN_FD_STEP
+            block = jt[s : s + idx.size]
+            np.subtract(self._rows(zp), r, out=block)
+            block /= _GN_FD_STEP
         return jt
 
     def _refresh(self) -> None:
-        self._jt = self._gram = None  # free the old pair before allocating
-        self._jt = self._jacobian_t(self._z, self._r)
-        self._gram = self._jt @ self._jt.T
-        self._secant_updates = 0
+        self._jt0 = self._gram = None  # free the old pair before allocating
+        self._jt0 = self._jacobian_t(self._z, self._r)
+        self._gram = self._jt0 @ self._jt0.T
+        self._jr = self._jt0 @ self._r
+        self._pairs = []
 
-    def _secant_update(self, s, dr) -> None:
-        """Broyden update of jt and gram for the step s just taken."""
-        jt, gram = self._jt, self._gram
-        u = (dr - jt.T @ s) / (s @ s)
-        w = jt @ u
-        # gram += w s^T + s w^T + (u.u) s s^T, as two outer products with v
-        v = w + (0.5 * (u @ u)) * s
-        gram += np.outer(v, s)
-        gram += np.outer(s, v)
-        for b in range(0, s.size, _GN_JAC_BLOCK):
-            jt[b : b + _GN_JAC_BLOCK] += np.outer(s[b : b + _GN_JAC_BLOCK], u)
-        self._secant_updates += 1
+    def _secant_update(self, s, r, rc) -> None:
+        """Broyden update for the step s just taken, from residual r to rc."""
+        ss = s @ s
+        js = self._jt0.T @ s  # jt^T s
+        jrc = self._jt0 @ rc  # jt rc
+        for sk, uk in self._pairs:
+            js += uk * (sk @ s)
+            jrc += sk * (uk @ rc)
+        u = (rc - r - js) / ss
+        # jt u = jt (rc - r - jt^T s) / (s.s), with jt jt^T = gram
+        w = ((jrc - self._jr) - self._gram @ s) / ss
+        # gram += w s^T + s w^T + (u.u) s s^T = v s^T + s v^T, one rank-two product
+        vs = np.stack((w + (0.5 * (u @ u)) * s, s))
+        self._gram += vs.T @ vs[::-1]
+        self._jr = jrc + s * (u @ rc)  # (jt + s u^T) rc
+        self._pairs.append((s, u))
 
     def step(self) -> None:
         if self._held:
             return
         left = self.distance
         z, r = self._z, self._r
-        if self._jt is None:
+        if self._jt0 is None:
             self._refresh()
-        rhs = -(self._jt @ r)
         if self._mu is None:
             self._mu = _GN_DAMPING_SEED * max(float(self._gram.diagonal().max()), 1e-30)
         rejects = 0
@@ -419,21 +428,20 @@ class _GaussNewtonStepper:
             # gram + mu I without the identity: mu I adds +0.0 off the diagonal
             damped = self._gram + 0.0
             damped.flat[:: z.size + 1] += self._mu
-            step = self._eta * np.linalg.solve(damped, rhs)
+            step = self._eta * np.linalg.solve(damped, -self._jr)
             if np.isfinite(step).all() and np.abs(step).max() <= _GN_STEP_CAP:
                 cand = z + step
                 rc = self._rows(cand[None])[0]
                 if np.isfinite(rc).all() and float(rc @ rc) < left:
                     self._mu = max(self._mu / 3.0, _GN_DAMPING_MIN)
                     self._move_to(cand, rc)
-                    if self._secant_updates == _GN_BROYDEN_REFRESH:
-                        self._jt = self._gram = None  # rebuilt at the next step
+                    if len(self._pairs) == _GN_BROYDEN_REFRESH:
+                        self._jt0 = self._gram = self._jr = None  # rebuilt at the next step
                     elif not self._held:
-                        self._secant_update(step, rc - r)
+                        self._secant_update(step, r, rc)
                     return
-            if self._secant_updates:
+            if self._pairs:
                 self._refresh()  # retry from an exact Jacobian at the same mu
-                rhs = -(self._jt @ r)
                 continue
             self._mu *= 10.0
             self.step_events += 1

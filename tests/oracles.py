@@ -228,3 +228,17 @@ def fd_gradient(run, bindings, name, h=1e-5):
         grad.ravel()[i] = (fp - fm) / (2.0 * h)
     bindings[name] = base
     return grad
+
+
+def explicit_broyden_update(jt, gram, s, dr):
+    """Broyden's secant update written out on whole matrices.
+
+    jt is a transposed Jacobian (one row per input) and gram = jt jt^T. For
+    the step s with residual change dr, the new jt is jt + s u^T with
+    u = (dr - jt^T s) / (s.s), and gram gets the matching rank-two correction
+    w s^T + s w^T + (u.u) s s^T with w = jt u. Returns new arrays.
+    """
+    u = (dr - jt.T @ s) / (s @ s)
+    w = jt @ u
+    gram = gram + np.outer(w, s) + np.outer(s, w) + (u @ u) * np.outer(s, s)
+    return jt + np.outer(s, u), gram

@@ -40,12 +40,13 @@ from gradleak.attack import (
     _GN_BROYDEN_REFRESH,
     _GN_FD_STEP,
     _GN_FREEZE_DISTANCE,
+    _GN_JAC_BLOCK,
     _GaussNewtonStepper,
     _build_attack_graph,
 )
 from gradleak.cli import cli_main
 from gradleak.models import Activation, Conv, Dense, Flatten, Pool
-from oracles import fd_gradient, rel_err, softmax_hp
+from oracles import explicit_broyden_update, fd_gradient, rel_err, softmax_hp
 
 
 def _image(rng, h, w, c=1):
@@ -404,6 +405,17 @@ class TestDlgAttack:
         assert [r.snapshot for r in t1.records] == [r.snapshot for r in t2.records]
 
 
+class _CountedOperand(np.ndarray):
+    """An array view that counts the ufunc calls (matmul included) it enters."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        type(self).calls += 1
+        inputs = tuple(np.asarray(a) if isinstance(a, _CountedOperand) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 def _gn_stepper(params, bundle, cfg, x):
     return _GaussNewtonStepper(params, infer_label_from_bundle(bundle), cfg, bundle, x)
 
@@ -473,6 +485,15 @@ class TestGaussNewtonJacobian:
         assert np.abs(want).max() > 1e-4
         assert np.abs(got - want.T).max() <= 1e-8
 
+        # the blocks are written in place with the bits of (rows - r) / step
+        blocks = []
+        for s in range(0, z.size, _GN_JAC_BLOCK):
+            idx = np.arange(min(_GN_JAC_BLOCK, z.size - s))
+            zp = np.repeat(z[None, :], idx.size, axis=0)
+            zp[idx, s + idx] += _GN_FD_STEP
+            blocks.append((stepper._rows(zp) - r) / _GN_FD_STEP)
+        assert np.concatenate(blocks).tobytes() == got.tobytes()
+
     @staticmethod
     def _demo_stepper():
         # the demo spec, image and label, at the demo's seeded starting image
@@ -481,16 +502,98 @@ class TestGaussNewtonJacobian:
         x = SeedRng(7 + 1000003).normal_array(spec.input_shape)
         return _gn_stepper(params, bundle, cfg, x)
 
+    @staticmethod
+    def _jacobian_in_use(stepper):
+        # the stepper's factored Jacobian, transposed: jt0 + sum_k s_k u_k^T
+        jt = stepper._jt0.copy()
+        for s, u in stepper._pairs:
+            jt += np.outer(s, u)
+        return jt
+
     def test_rank_two_update_keeps_the_gram_matrix(self):
         stepper = self._demo_stepper()
         seen = set()
         for _ in range(_GN_BROYDEN_REFRESH):
             stepper.step()
-            if stepper._secant_updates:
-                seen.add(stepper._secant_updates)
-                want = stepper._jt @ stepper._jt.T
+            if stepper._pairs:
+                seen.add(len(stepper._pairs))
+                jt = self._jacobian_in_use(stepper)
+                want = jt @ jt.T
                 assert np.abs(stepper._gram - want).max() <= 1e-12 * np.abs(want).max()
         assert seen == set(range(1, _GN_BROYDEN_REFRESH + 1))
+
+    def test_factored_update_matches_the_explicit_broyden_update(self):
+        # every secant update of a demo-seed run against jt and gram updated
+        # as whole matrices, starting from the stepper's own forward-difference
+        # Jacobian; jr is jt r at the point the step reached
+        stepper = self._demo_stepper()
+        jt = gram = None
+        for k in range(1, _GN_BROYDEN_REFRESH + 1):
+            r = stepper._r
+            stepper.step()
+            assert len(stepper._pairs) == k
+            if jt is None:
+                jt0 = stepper._jt0.copy()
+                jt, gram = jt0, jt0 @ jt0.T
+            jt, gram = explicit_broyden_update(jt, gram, stepper._pairs[-1][0], stepper._r - r)
+            for got, want in ((self._jacobian_in_use(stepper), jt), (stepper._gram, gram),
+                              (stepper._jr, jt @ stepper._r)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(stepper._jt0, jt0)
+
+    def test_accepted_step_reads_the_stored_jacobian_twice_and_never_writes_it(self):
+        stepper = self._demo_stepper()
+        jacobian = stepper._jacobian_t
+
+        def read_only_jacobian(z, r):
+            jt = jacobian(z, r)
+            jt.flags.writeable = False
+            return jt.view(_CountedOperand)
+
+        stepper._jacobian_t = read_only_jacobian
+        reads = []
+        for _ in range(_GN_BROYDEN_REFRESH + 2):
+            _CountedOperand.calls = 0
+            stepper.step()
+            reads.append((_CountedOperand.calls, len(stepper._pairs), stepper._jt0 is None))
+        # a refresh reads jt0 twice (gram and jr), each secant update twice; the
+        # step after the 8th update uses the Jacobian, drops it and reads nothing
+        assert reads == ([(4, 1, False)] + [(2, k, False) for k in range(2, 9)]
+                         + [(0, 8, True), (4, 1, False)])
+
+    def test_refresh_after_eight_updates_and_after_a_rejected_secant_step(self):
+        stepper = self._demo_stepper()
+        for _ in range(_GN_BROYDEN_REFRESH + 1):
+            stepper.step()
+        assert stepper._jt0 is None  # the 8-update Jacobian served its last step
+        z, r = stepper._z, stepper._r
+        stepper.step()
+        assert np.array_equal(stepper._jt0, stepper._jacobian_t(z, r))
+        assert len(stepper._pairs) == 1
+
+        # a trial from the 3-update Jacobian is rejected (its residual is
+        # pushed up); the retry is from a fresh jt0 at the same mu, no event
+        stepper = self._demo_stepper()
+        for _ in range(3):
+            stepper.step()
+        rows, trials = stepper._rows, []
+
+        def pushed_first_trial(zs):
+            out = rows(zs)
+            if len(zs) == 1:
+                trials.append((stepper._mu, len(stepper._pairs), stepper._jt0))
+                if len(trials) == 1:
+                    out = out + 1.0
+            return out
+
+        stepper._rows = pushed_first_trial
+        z, r, events = stepper._z, stepper._r, stepper.step_events
+        stepper.step()
+        (mu, pairs, _), (retry_mu, retry_pairs, retry_jt0) = trials
+        assert (pairs, retry_pairs, retry_mu) == (3, 0, mu)
+        assert np.array_equal(retry_jt0, stepper._jacobian_t(z, r))
+        assert stepper.step_events == events
+        assert len(stepper._pairs) == 1
 
     def test_demo_seed_plain_broyden_breaks_converges(self, tmp_path, capsys):
         # with free label logits, plain Broyden let the pixels absorb the
