@@ -195,7 +195,7 @@ def fc_analytic_reconstruct(grad_weight, grad_bias) -> Tensor:
         raise BiasGradientVanishesError(
             f"all bias-gradient entries are within {_FC_BIAS_TOL} of zero"
         )
-    return Tensor(gw[row] / gb[row])
+    return Tensor._adopt(gw[row] / gb[row])
 
 
 def infer_label_from_bundle(target: GradientBundle) -> int:

@@ -4,11 +4,14 @@ A GradientBundle is what a client would put on the wire: one gradient tensor
 per model parameter plus enough metadata (a digest of the model spec, client
 id, round index) for the receiver to know what it belongs to. The file format
 is little-endian and bit-exact; serialize/deserialize round-trips byte for
-byte, which the attack tooling leans on for reproducibility.
+byte, which the attack tooling leans on for reproducibility. Decoded tensors
+are read-only views of the input bytes (a payload off an 8-byte boundary is
+copied); a mutable input is copied once first.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,12 +94,15 @@ def victim_gradient(params: ModelParams, x: Tensor, target_probs: Tensor,
     key = (params.spec, tuple((name, t.shape) for name, t in flat))
     if _plan is None or _plan[0] != key:
         _plan = (key, gradient_plan(params))
+    # plan outputs are fresh arrays or read-only ones (bindings come from
+    # Tensors, an unreachable parameter's zero gradient is a graph constant)
     values = _plan[1](bindings)
     return GradientBundle(
         digest=params.spec.digest,
         client_id=client_id,
         round_index=round_index,
-        tensors=tuple((name, Tensor(v)) for (name, _), v in zip(flat, values)),
+        tensors=tuple((name, Tensor._adopt(np.ascontiguousarray(v)))
+                      for (name, _), v in zip(flat, values)),
     )
 
 
@@ -116,11 +122,12 @@ def aggregate(bundles: Sequence[GradientBundle]) -> GradientBundle:
             if t.shape != t0.shape:
                 raise IncompatibilityError(f"aggregate: tensor {name!r} shapes differ")
     combined = []
-    for i, (name, _) in enumerate(first.tensors):
-        total = np.zeros(first.tensors[i][1].shape)
-        for b in bundles:
-            total = total + b.tensors[i][1].array
-        combined.append((name, Tensor(total / len(bundles))))
+    for i, (name, t0) in enumerate(first.tensors):
+        total = t0.array.copy()  # not a sum from zeros, which would lose -0.0
+        for b in bundles[1:]:
+            total += b.tensors[i][1].array
+        total /= len(bundles)
+        combined.append((name, Tensor._adopt(total)))
     return GradientBundle(
         digest=first.digest,
         client_id=AGGREGATE_CLIENT,
@@ -129,99 +136,100 @@ def aggregate(bundles: Sequence[GradientBundle]) -> GradientBundle:
     )
 
 
+_HEADER = struct.Struct("<4sIQIII")  # magic, version, digest, client, round, count
+_U32 = struct.Struct("<I")
+_U16 = struct.Struct("<H")
+
+
 def serialize_bundle(bundle: GradientBundle) -> bytes:
     """Encode a bundle in the .glkb wire format (little-endian, f64 payload)."""
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<IQII", FORMAT_VERSION, bundle.digest,
-                       bundle.client_id, bundle.round_index)
-    out += struct.pack("<I", len(bundle.tensors))
+    parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, bundle.digest, bundle.client_id,
+                          bundle.round_index, len(bundle.tensors))]
     for name, tensor in bundle.tensors:
         encoded = name.encode("utf-8")
         if not encoded:
             raise ContractError("serialize_bundle: empty tensor name")
         if len(encoded) > 0xFFFF:
             raise ContractError(f"serialize_bundle: tensor name too long ({len(encoded)} bytes)")
-        out += struct.pack("<H", len(encoded))
-        out += encoded
-        out += struct.pack("B", tensor.ndim)
-        for dim in tensor.shape:
-            out += struct.pack("<Q", dim)
-        out += tensor.array.astype("<f8").tobytes()
-    return bytes(out)
+        parts.append(struct.pack(f"<H{len(encoded)}sB{tensor.ndim}Q",
+                                 len(encoded), encoded, tensor.ndim, *tensor.shape))
+        parts.append(np.asarray(tensor.array, "<f8"))  # copies only on a big-endian host
+    return b"".join(parts)
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
+def deserialize_bundle(data) -> GradientBundle:
+    """Decode .glkb bytes; malformed input raises ParseError, never crashes.
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    Any bytes-like input is accepted. A mutable one (bytearray, memoryview)
+    is copied once into bytes, so no tensor aliases memory the caller can
+    write. Each tensor is a read-only view of those bytes, copied only when
+    its payload is not 8-byte aligned there (or the host is big-endian).
+    """
+    if not isinstance(data, bytes):
+        data = memoryview(data).tobytes()
+    end = len(data)
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ParseError(f"truncated {what}", self.pos)
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+    def need(pos: int, n: int, what: str) -> None:
+        if pos + n > end:
+            raise ParseError(f"truncated {what}", pos)
 
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-
-def deserialize_bundle(data: bytes) -> GradientBundle:
-    """Decode a .glkb byte string; malformed input raises ParseError, never crashes."""
-    r = _Reader(data)
-    if r.take(4, "magic") != MAGIC:
+    need(0, 4, "magic")
+    if data[:4] != MAGIC:
         raise ParseError(f"bad magic, expected {MAGIC!r}", 0)
-    (version,) = r.unpack("<I", "version")
+    need(4, 4, "version")
+    (version,) = _U32.unpack_from(data, 4)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version}", 4)
-    digest, client_id, round_index = r.unpack("<QII", "header")
-    (count,) = r.unpack("<I", "tensor count")
+    need(8, 16, "header")
+    need(24, 4, "tensor count")
+    _, _, digest, client_id, round_index, count = _HEADER.unpack_from(data)
+    pos = _HEADER.size
     tensors = []
     seen: set[str] = set()
     for _ in range(count):
-        (name_len,) = r.unpack("<H", "name length")
+        need(pos, 2, "name length")
+        (name_len,) = _U16.unpack_from(data, pos)
         if name_len == 0:
-            raise ParseError("empty tensor name", r.pos - 2)
-        name_at = r.pos
-        raw_name = r.take(name_len, "tensor name")
+            raise ParseError("empty tensor name", pos)
+        name_at = pos + 2
+        need(name_at, name_len, "tensor name")
         try:
-            name = raw_name.decode("utf-8")
+            name = data[name_at : name_at + name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError("tensor name is not valid UTF-8", name_at) from None
         if name in seen:
             raise ParseError(f"repeated tensor name {name!r}", name_at)
         seen.add(name)
-        (rank,) = r.unpack("B", "rank")
-        dims = []
-        for _ in range(rank):
-            dim_at = r.pos
-            (dim,) = r.unpack("<Q", "dimension")
-            if dim == 0:
-                raise ParseError("zero tensor dimension", dim_at)
-            dims.append(dim)
-        size = 1
-        for dim in dims:
-            size *= dim
-        payload_at = r.pos
-        if size * 8 > len(r.data) - r.pos:
-            raise ParseError(
-                f"tensor shape {tuple(dims)} overflows remaining payload", payload_at
-            )
-        payload = r.take(size * 8, "tensor payload")
+        pos = name_at + name_len
+        need(pos, 1, "rank")
+        rank = data[pos]
+        pos += 1
+        fit = min(rank, (end - pos) // 8)  # the dimensions present before a cut
+        dims = struct.unpack_from(f"<{fit}Q", data, pos)
+        if 0 in dims:
+            raise ParseError("zero tensor dimension", pos + 8 * dims.index(0))
+        if fit < rank:
+            raise ParseError("truncated dimension", pos + 8 * fit)
+        pos += 8 * rank
+        size = math.prod(dims)
+        if size * 8 > end - pos:
+            raise ParseError(f"tensor shape {dims} overflows remaining payload", pos)
         try:
-            values = np.frombuffer(payload, dtype="<f8").reshape(tuple(dims))
+            values = np.frombuffer(data, "<f8", size, pos).reshape(dims)
         except ValueError:  # more dimensions than NumPy holds
             raise ParseError(f"rank {rank} exceeds NumPy's maximum", name_at + name_len) from None
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
+        if not (values.flags.aligned and values.dtype.isnative):
+            values = values.astype(np.float64)  # unaligned views are slow and sum differently
+        try:
+            tensor = Tensor._adopt(values)
+        except ContractError:
+            bad = np.flatnonzero(~np.isfinite(values))
             raise ParseError(f"tensor {name!r} holds a non-finite value",
-                             payload_at + 8 * int(bad[0]))
-        tensors.append((name, Tensor(values)))
-    if r.pos != len(data):
-        raise ParseError(f"{len(data) - r.pos} trailing bytes after last tensor", r.pos)
+                             pos + 8 * int(bad[0])) from None
+        tensors.append((name, tensor))
+        pos += 8 * size
+    if pos != end:
+        raise ParseError(f"{end - pos} trailing bytes after last tensor", pos)
     return GradientBundle(digest, client_id, round_index, tuple(tensors))
 
 

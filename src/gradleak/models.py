@@ -260,7 +260,8 @@ def build_model(spec: ModelSpec, rng: SeedRng) -> ModelParams:
         layer_name, part = name.split(".")
         if part == "W":  # fan-in: k*k*C of a kernel, the columns of a matrix
             scale = 1.0 / math.sqrt(math.prod(shape[:3]) if len(shape) == 4 else shape[1])
-        weights.setdefault(layer_name, {})[part] = Tensor((rng.uniform_array(shape) - 0.5) * scale)
+        weights.setdefault(layer_name, {})[part] = Tensor._adopt(
+            (rng.uniform_array(shape) - 0.5) * scale)
     return ModelParams(spec, weights)
 
 

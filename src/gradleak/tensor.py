@@ -25,6 +25,14 @@ def _normalize_shape(shape: Iterable[int]) -> Shape:
     return dims
 
 
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """`arr`, marked read-only, after one scan for non-finite values."""
+    if not np.isfinite(arr).all():
+        raise ContractError("tensor values must be finite (no NaN/Inf)")
+    arr.flags.writeable = False
+    return arr
+
+
 class Tensor:
     """Immutable n-dimensional array of finite float64 values."""
 
@@ -39,10 +47,16 @@ class Tensor:
                     f"data of size {arr.size} does not fill shape {target}"
                 )
             arr = arr.reshape(target)
-        if not np.all(np.isfinite(arr)):
-            raise ContractError("tensor values must be finite (no NaN/Inf)")
-        arr.flags.writeable = False
-        self._arr = arr
+        self._arr = _checked(arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Tensor":
+        """Wrap `arr` without copying it. The caller hands over a float64,
+        C-contiguous array that nothing else writes to: a fresh allocation,
+        or a view of immutable bytes."""
+        tensor = cls.__new__(cls)
+        tensor._arr = _checked(arr)
+        return tensor
 
     @classmethod
     def zeros(cls, shape: Iterable[int]) -> "Tensor":

@@ -261,11 +261,12 @@ def _toy_bundle(values, digest=0xABCD, client=1):
 
 class TestAggregate:
     def test_mean_of_identical_bundles_is_identity(self):
-        b = _toy_bundle([("l.W", [[1.0, -2.0]]), ("l.B", [0.5])])
-        agg = aggregate([b, b, b])
-        assert agg.client_id == AGGREGATE_CLIENT
-        for (_, got), (_, want) in zip(agg.tensors, b.tensors):
-            assert got == want
+        b = _toy_bundle([("l.W", [[1.0, -2.0, -0.0]]), ("l.B", [0.5, -0.0])])
+        for copies in (1, 2, 3):
+            agg = aggregate([b] * copies)
+            assert agg.client_id == AGGREGATE_CLIENT
+            for (_, got), (_, want) in zip(agg.tensors, b.tensors):
+                assert got == want, copies  # bit for bit, so -0.0 stays -0.0
 
     def test_opposite_bundles_cancel(self):
         b = _toy_bundle([("l.W", [[1.0, -2.0]])])
@@ -276,14 +277,15 @@ class TestAggregate:
     def test_mean_matches_loop_oracle(self):
         rng = SeedRng(8)
         bundles = [
-            _toy_bundle([("l.W", [[rng.uniform() for _ in range(3)] for _ in range(2)])])
+            _toy_bundle([("l.W", [[rng.uniform() - 0.5 for _ in range(3)] for _ in range(2)])])
             for _ in range(4)
         ]
         mean = aggregate(bundles).get("l.W").array
-        acc = np.zeros((2, 3))
-        for b in bundles:
-            acc += b.get("l.W").array
-        assert np.allclose(mean, acc / 4, rtol=0, atol=1e-15)
+        acc = bundles[0].get("l.W").array
+        for b in bundles[1:]:
+            acc = acc + b.get("l.W").array
+        assert mean.tobytes() == (acc / 4).tobytes()  # ((b0 + b1) + ...) / n
+        assert not mean.flags.writeable
 
     def test_permutation_invariance(self):
         rng = SeedRng(9)
@@ -300,6 +302,92 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             aggregate([])
+
+
+def _parity_blob():
+    """The two-tensor blob whose prefixes and corruptions the parity table covers.
+
+    Layout: header 0-27; "x" name length 28, name 30, rank 31, dimension 32,
+    payload 40-55; "y" name length 56, name 58, rank 59, dimensions 60 and 68,
+    payload 76-83.
+    """
+    return serialize_bundle(_toy_bundle([("x", [1.0, 2.0]), ("y", [[3.0]])]))
+
+
+def _patched(blob, at, raw):
+    return blob[:at] + raw + blob[at + len(raw):]
+
+
+def _corruptions():
+    """Each malformed input the decoder tests make, by name."""
+    blob = _parity_blob()
+    one = (1).to_bytes(8, "little")
+    cases = {
+        "magic": b"NOPE" + blob[4:],
+        "version": _patched(blob, 4, (2).to_bytes(4, "little")),
+        "zero name length": _patched(blob, 28, bytes(2)),
+        "non-UTF-8 name": _patched(blob, 30, b"\xff"),
+        "repeated name": _patched(blob, 58, b"x"),
+        "zero dimension": _patched(blob, 68, bytes(8)),
+        "overflowing dimension": _patched(blob, 32, (1 << 40).to_bytes(8, "little")),
+        "rank 65": blob[:31] + bytes([65]) + one * 65 + blob[40:48] + blob[56:],
+        "trailing byte": blob + b"\x00",
+        "tensor count 0": _patched(blob, 24, (0).to_bytes(4, "little")),
+        "tensor count 3": _patched(blob, 24, (3).to_bytes(4, "little")),
+    }
+    for label, bad in (("NaN", np.nan), ("+inf", np.inf), ("-inf", -np.inf)):
+        cases[f"{label} payload"] = _patched(blob, 48, np.float64(bad).tobytes())
+        cases[f"{label} last payload"] = _patched(blob, 76, np.float64(bad).tobytes())
+    return cases
+
+
+def _decode_error(blob):
+    with pytest.raises(ParseError) as err:
+        deserialize_bundle(blob)
+    return str(err.value), err.value.offset
+
+
+# (first cut, last cut, str(error), offset) for every prefix blob[:cut] of
+# _parity_blob(). Recorded from the slicing decoder this one replaced; the
+# decoder must reproduce every entry.
+_TRUNCATIONS = (
+    (0, 3, 'truncated magic (at byte 0)', 0),
+    (4, 7, 'truncated version (at byte 4)', 4),
+    (8, 23, 'truncated header (at byte 8)', 8),
+    (24, 27, 'truncated tensor count (at byte 24)', 24),
+    (28, 29, 'truncated name length (at byte 28)', 28),
+    (30, 30, 'truncated tensor name (at byte 30)', 30),
+    (31, 31, 'truncated rank (at byte 31)', 31),
+    (32, 39, 'truncated dimension (at byte 32)', 32),
+    (40, 55, 'tensor shape (2,) overflows remaining payload (at byte 40)', 40),
+    (56, 57, 'truncated name length (at byte 56)', 56),
+    (58, 58, 'truncated tensor name (at byte 58)', 58),
+    (59, 59, 'truncated rank (at byte 59)', 59),
+    (60, 67, 'truncated dimension (at byte 60)', 60),
+    (68, 75, 'truncated dimension (at byte 68)', 68),
+    (76, 83, 'tensor shape (1, 1) overflows remaining payload (at byte 76)', 76),
+)
+# str(error) and offset for each input of _corruptions(), recorded alike.
+_CORRUPTIONS = {
+    'magic': ("bad magic, expected b'GLKB' (at byte 0)", 0),
+    'version': ('unsupported format version 2 (at byte 4)', 4),
+    'zero name length': ('empty tensor name (at byte 28)', 28),
+    'non-UTF-8 name': ('tensor name is not valid UTF-8 (at byte 30)', 30),
+    'repeated name': ("repeated tensor name 'x' (at byte 58)", 58),
+    'zero dimension': ('zero tensor dimension (at byte 68)', 68),
+    'overflowing dimension': (
+        'tensor shape (1099511627776,) overflows remaining payload (at byte 40)', 40),
+    'rank 65': ("rank 65 exceeds NumPy's maximum (at byte 31)", 31),
+    'trailing byte': ('1 trailing bytes after last tensor (at byte 84)', 84),
+    'tensor count 0': ('56 trailing bytes after last tensor (at byte 28)', 28),
+    'tensor count 3': ('truncated name length (at byte 84)', 84),
+    'NaN payload': ("tensor 'x' holds a non-finite value (at byte 48)", 48),
+    'NaN last payload': ("tensor 'y' holds a non-finite value (at byte 76)", 76),
+    '+inf payload': ("tensor 'x' holds a non-finite value (at byte 48)", 48),
+    '+inf last payload': ("tensor 'y' holds a non-finite value (at byte 76)", 76),
+    '-inf payload': ("tensor 'x' holds a non-finite value (at byte 48)", 48),
+    '-inf last payload': ("tensor 'y' holds a non-finite value (at byte 76)", 76),
+}
 
 
 class TestBundleFormat:
@@ -352,10 +440,49 @@ class TestBundleFormat:
         with pytest.raises(ContractError):
             serialize_bundle(bad)
         good = serialize_bundle(_toy_bundle([("x", [1.0])]))
-        # patch the name length to zero
-        hacked = good[:24] + (0).to_bytes(2, "little") + good[26:]
-        with pytest.raises(ParseError):
+        # patch the name length (after the 28-byte header) to zero
+        hacked = _patched(good, 28, bytes(2))
+        with pytest.raises(ParseError, match="empty tensor name") as err:
             deserialize_bundle(hacked)
+        assert err.value.offset == 28
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_every_prefix_fails_as_recorded(self, wrap):
+        blob = _parity_blob()
+        cuts = [cut for lo, hi, _, _ in _TRUNCATIONS for cut in range(lo, hi + 1)]
+        assert cuts == list(range(len(blob)))
+        for lo, hi, message, offset in _TRUNCATIONS:
+            for cut in range(lo, hi + 1):
+                assert _decode_error(wrap(blob[:cut])) == (message, offset), cut
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_every_corruption_fails_as_recorded(self, wrap):
+        cases = _corruptions()
+        assert cases.keys() == _CORRUPTIONS.keys()
+        for label, blob in cases.items():
+            assert _decode_error(wrap(blob)) == _CORRUPTIONS[label], label
+
+    def test_decoded_tensors_view_aligned_payloads_and_copy_the_rest(self):
+        # conv1.W's payload starts 6 bytes off an 8-byte boundary, the others on one
+        blob = serialize_bundle(victim_gradient(*_client(_PLAN_SPECS[1], 0)))
+        raw = np.frombuffer(blob, np.uint8)
+        for name, tensor in deserialize_bundle(blob).tensors:
+            assert tensor.array.flags.aligned and not tensor.array.flags.writeable
+            assert np.shares_memory(tensor.array, raw) == (name != "conv1.W"), name
+
+    def test_decoded_tensors_do_not_alias_a_mutable_input(self):
+        blob = _parity_blob()
+        buffer = bytearray(blob)
+        view = memoryview(bytearray(blob))
+        from_buffer, from_view = deserialize_bundle(buffer), deserialize_bundle(view)
+        buffer[40:] = bytes(len(buffer) - 40)
+        view[40:] = bytes(len(view) - 40)
+        for bundle in (from_buffer, from_view):
+            assert serialize_bundle(bundle) == blob
+            for _, tensor in bundle.tensors:
+                assert not tensor.array.flags.writeable
+                with pytest.raises(ValueError):
+                    tensor.array[...] = 0.0
 
     def test_bad_magic_and_version(self):
         blob = serialize_bundle(_toy_bundle([("x", [1.0])]))
@@ -425,17 +552,18 @@ class TestBundleFormat:
     @given(st.data())
     def test_random_bundles_round_trip(self, data):
         names = data.draw(st.lists(
-            st.text(alphabet="abcdefg.WB", min_size=1, max_size=12),
+            st.text(alphabet="abcdefg.WBéλ中🙂", min_size=1, max_size=12),
             min_size=1, max_size=4, unique=True,
         ))
+        edges = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.1e-308, -1.1e-308,
+                                 np.finfo(np.float64).max, -np.finfo(np.float64).max])
+        floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
         tensors = []
         for name in names:
-            shape = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-            values = data.draw(st.lists(
-                st.floats(allow_nan=False, allow_infinity=False, width=64,
-                          min_value=-1e12, max_value=1e12),
-                min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
-            ))
+            shape = data.draw(st.lists(st.integers(1, 4), min_size=0, max_size=3))
+            size = int(np.prod(shape))
+            values = data.draw(st.lists(st.one_of(edges, floats),
+                                        min_size=size, max_size=size))
             tensors.append((name, Tensor(values, shape=shape)))
         bundle = GradientBundle(
             digest=data.draw(st.integers(0, 2**64 - 1)),
@@ -444,5 +572,7 @@ class TestBundleFormat:
             tensors=tuple(tensors),
         )
         blob = serialize_bundle(bundle)
-        assert deserialize_bundle(blob) == bundle
-        assert serialize_bundle(deserialize_bundle(blob)) == blob
+        for wrap in (bytes, bytearray, memoryview):
+            back = deserialize_bundle(wrap(blob))
+            assert back == bundle
+            assert serialize_bundle(back) == blob

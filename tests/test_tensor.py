@@ -58,6 +58,25 @@ def test_tensor_does_not_alias_source_array():
     assert src.flags.writeable
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adopt_rejects_non_finite_as_the_constructor_does(bad):
+    with pytest.raises(ContractError) as public:
+        Tensor([1.0, bad])
+    with pytest.raises(ContractError) as adopted:
+        Tensor._adopt(np.array([1.0, bad]))
+    assert str(adopted.value) == str(public.value)
+
+
+def test_adopt_wraps_a_fresh_array_read_only_without_a_copy():
+    fresh = np.arange(6.0).reshape(2, 3)
+    t = Tensor._adopt(fresh)
+    assert t.array is fresh
+    assert not t.array.flags.writeable
+    with pytest.raises(ValueError):
+        t.array[0, 0] = 9.0
+    assert t == Tensor(np.arange(6.0).reshape(2, 3))
+
+
 def test_tensor_exact_equality():
     assert Tensor([1.0, 2.0]) == Tensor([1.0, 2.0])
     assert Tensor([1.0, 2.0]) != Tensor([1.0, 2.0 + 1e-15])
