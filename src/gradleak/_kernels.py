@@ -7,13 +7,14 @@ inputs gives the stack of the per-input results.
 All functions are pure: inputs of any layout are never mutated, and the
 in-place steps write only arrays the kernel allocated.
 
-The correlations are row-wise im2col: `_row_blocks` copies the kw column
-shifts of every input row side by side once and views that copy as the kh
-overlapping blocks the kernel rows read, so each correlation is one stacked
-GEMM over the kernel rows. `corr2d` then sums the rows' products in row
-order. `avg_unpool` fills the disjoint cells of a window == stride pool
-(the layer's own geometry) with one broadcast assignment; overlapping or
-gapped windows keep the loop.
+The correlations are row-wise im2col: `im2col` copies the kw column shifts
+of every input row side by side once, and `corr2d` and `kgrad_corr` take
+that copy, view it as the kh overlapping blocks the kernel rows read and
+make one stacked GEMM over the kernel rows, so correlations that read one
+input share one copy. `corr2d` then sums the rows' products in row order.
+`avg_unpool` fills the disjoint cells of a window == stride pool (the
+layer's own geometry) with one broadcast assignment; overlapping or gapped
+windows keep the loop.
 """
 
 from __future__ import annotations
@@ -34,36 +35,37 @@ def crop2d(x: np.ndarray, p: int) -> np.ndarray:
     return x[..., p : x.shape[-3] - p, p : x.shape[-2] - p, :]
 
 
-def _shifted_rows(x: np.ndarray, kw: int, ow: int) -> np.ndarray:
-    """The kw column shifts of x side by side: (..., H, ow, kw * C).
+def im2col(x: np.ndarray, kw: int) -> np.ndarray:
+    """The kw column shifts of every row of x, copied once: (..., H, ow, kw, C).
 
-    Entry [..., r, o, j * C + c] is x[..., r, o + j, c]. The result is a
-    view of the contiguous input whose shift axis repeats the column stride,
-    so its rows overlap until a reshape copies them.
+    Entry [..., r, o, j, c] is x[..., r, o + j, c], with ow = W - kw + 1.
+    The copy is taken from a view of the contiguous input whose shift axis
+    repeats the column stride, so the shifted rows overlap until copied.
     """
     x = np.ascontiguousarray(x)
+    ow = x.shape[-2] - kw + 1
     shifts = np.ndarray(x.shape[:-2] + (ow, kw, x.shape[-1]), x.dtype, x, 0,
                         x.strides[:-1] + x.strides[-2:])
-    return shifts.reshape(x.shape[:-2] + (ow, kw * x.shape[-1]))
+    return shifts.copy()
 
 
-def _row_blocks(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
-    """What each kernel row reads, stacked: (..., kh, oh*ow, kw*C).
+def _row_blocks(rows: np.ndarray, kh: int) -> np.ndarray:
+    """What each kernel row reads from `im2col` rows, stacked: (..., kh, oh*ow, kw*C).
 
-    Entry [..., i, r * ow + o, j * C + c] is x[..., i + r, o + j, c]. The
-    shifted rows are copied once into a (..., H * ow, kw * C) array; the
-    view's kernel-row axis steps ow rows of it, so the kh overlapping blocks
-    share that one copy.
+    Entry [..., i, r * ow + o, j * C + c] is rows[..., i + r, o, j, c]. The
+    kernel-row axis steps one input row of the contiguous copy, so the kh
+    overlapping blocks are views of it.
     """
-    rows = np.ascontiguousarray(
-        _shifted_rows(x, kw, ow).reshape(x.shape[:-3] + (x.shape[-3] * ow, -1)))
-    step, col = rows.strides[-2:]
-    return np.ndarray(x.shape[:-3] + (kh, oh * ow, rows.shape[-1]), x.dtype, rows, 0,
-                      rows.strides[:-2] + (ow * step, step, col))
+    rows = np.ascontiguousarray(rows)
+    h, ow, kw, c = rows.shape[-4:]
+    step = rows.strides[-3]
+    return np.ndarray(rows.shape[:-4] + (kh, (h - kh + 1) * ow, kw * c), rows.dtype, rows, 0,
+                      rows.strides[:-4] + (ow * step, step, rows.strides[-1]))
 
 
-def corr2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation with stride 1; sums over input channels.
+def corr2d(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation with stride 1 of the input whose `im2col`
+    rows are given; sums over input channels.
 
     One stacked GEMM gives every kernel row's (oh*ow, kw*C) @ (kw*C, D)
     product, written kernel row first so each row's products are contiguous
@@ -73,11 +75,11 @@ def corr2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     output of one channel), which changes the low bits.
     """
     kh, kw, c, d = k.shape[-4:]
-    oh, ow = x.shape[-3] - kh + 1, x.shape[-2] - kw + 1
+    oh, ow = rows.shape[-4] - kh + 1, rows.shape[-3]
     # the leading axes, in a fraction of np.broadcast_shapes' few microseconds
-    lead = np.broadcast(x[..., 0, 0, 0], k[..., 0, 0, 0, 0]).shape
-    parts = np.empty((kh,) + lead + (oh * ow, d), dtype=x.dtype)
-    np.matmul(_row_blocks(x, kh, kw, oh, ow), k.reshape(k.shape[:-4] + (kh, kw * c, d)),
+    lead = np.broadcast(rows[..., 0, 0, 0, 0], k[..., 0, 0, 0, 0]).shape
+    parts = np.empty((kh,) + lead + (oh * ow, d), dtype=rows.dtype)
+    np.matmul(_row_blocks(rows, kh), k.reshape(k.shape[:-4] + (kh, kw * c, d)),
               out=parts.transpose(*range(1, len(lead) + 1), 0, -2, -1))
     out = parts[0]
     if kh > 1:
@@ -87,16 +89,16 @@ def corr2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (oh, ow, d))
 
 
-def kgrad_corr(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Kernel-shaped correlation: out[a,b,c,d] = sum_ij x[a+i,b+j,c] * dy[i,j,d].
+def kgrad_corr(rows: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Kernel-shaped correlation of the input whose `im2col` rows are given:
+    out[a,b,c,d] = sum_ij x[a+i,b+j,c] * dy[i,j,d].
 
     One stacked GEMM, blocks^T @ dy, writes all kh kernel rows; nothing is
     summed across rows.
     """
     oh, ow, d = dy.shape[-3:]
-    h, w, c = x.shape[-3:]
-    kh, kw = h - oh + 1, w - ow + 1
-    blocks = _row_blocks(x, kh, kw, oh, ow)
+    h, _, kw, c = rows.shape[-4:]
+    blocks = _row_blocks(rows, h - oh + 1)
     out = blocks.swapaxes(-1, -2) @ dy.reshape(dy.shape[:-3] + (1, oh * ow, d))
     return out.reshape(out.shape[:-2] + (kw, c, d))
 

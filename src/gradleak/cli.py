@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 parse/format/compatibility error,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -293,10 +294,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every `cli_main` call uses, built on the first one; parsing
+    keeps no state in it."""
+    return build_parser()
+
+
 def cli_main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -18,20 +18,30 @@ the eager `conv2d` builds one graph convolution over two constants.
 `evaluator` compiles the ancestors of its outputs once into a flat
 instruction list whose slots are node ids: constants, variables by name and
 shape, and one step per computed node holding its rule, a getter of its
-inputs (an `operator.itemgetter`, built once) and the ids whose last
-consumer it is. A call fills a plain list step by step and drops every
-value that is not an output after its last use. Rules look up `_kernels`
-functions when they run, so a wrapper installed on the module after a plan
-is compiled still sees every kernel call.
+inputs (an `operator.itemgetter`, built once) and the slots whose last
+consumer it is. The correlations of one input, margin and kernel width
+share one more step, the im2col copy of their padded input (Chellapilla et
+al., 2006), in a slot past the node ids. A call fills a plain list step by
+step and drops every value that is not an output after its last use. Rules
+look up `_kernels` functions when they run, so a wrapper installed on the
+module after a plan is compiled still sees every kernel call.
 
 Correlations carry a signed margin: `corr2d` and `kgrad_corr` zero-pad
 their input by it, or crop it when the margin is negative. The input
 gradient of a correlation with margin m is then the correlation of the
 upstream gradient with margin k-1-m (the zero-padding identity of
 transposed convolutions, Dumoulin and Visin, arXiv:1603.07285), so no
-gradient is built full-size and cropped. Builders rewrite only two things:
-a node equal to an existing one (same op, inputs and params; a constant,
-same shape and bytes) is that node, and `rotswap(rotswap(k))` is `k`.
+gradient is built full-size and cropped.
+
+Builders rewrite a node only where the result has the same bits in IEEE
+arithmetic, -0.0 included:
+- a node equal to an existing one (same op, inputs and params; a constant,
+  same shape and bytes) is that node;
+- a node whose inputs are all constants is the constant its rule gives;
+- `rotswap(rotswap(k))` is `k`;
+- `mul` by a constant whose entries all have the bits of c is `scale` by c,
+  or the other operand when c is 1.0;
+- `add(a, a)` is `scale(a, 2.0)`, and `add(a, scale(b, -1.0))` is `sub(a, b)`.
 
 The loss head is one primitive, `log_softmax`, with its max shift inside
 the rule: `softmax` is its exponential and `cross_entropy_logits` its
@@ -100,6 +110,7 @@ class ExprGraph:
         self._nodes: list[_Node] = []
         self._index: dict[tuple, NodeId] = {}
         self._vars: dict[str, NodeId] = {}
+        self._consts: set[NodeId] = set()
 
     # ------------------------------------------------------------------ basics
 
@@ -123,6 +134,9 @@ class ExprGraph:
         for i in inputs:
             if not 0 <= i < len(self._nodes):
                 raise ContractError(f"{op}: input id {i} is not a node of this graph")
+        if inputs and self._consts.issuperset(inputs):
+            node = _Node(op, inputs, shape, params)
+            return self.constant(_EVAL[op](node, [self._nodes[i].payload for i in inputs]))
         # repr keeps scale(a, -0.0) apart from scale(a, 0.0), which == would merge
         key = ((op, shape, payload.tobytes()) if payload is not None
                else (op, inputs, repr(params)))
@@ -137,7 +151,9 @@ class ExprGraph:
     def constant(self, value) -> NodeId:
         arr = np.array(as_array(value), dtype=np.float64, order="C", copy=True)
         arr.flags.writeable = False
-        return self._append("const", (), arr.shape, payload=arr)
+        nid = self._append("const", (), arr.shape, payload=arr)
+        self._consts.add(nid)
+        return nid
 
     def variable(self, name: str, shape: Iterable[int]) -> NodeId:
         if name in self._vars:
@@ -158,13 +174,32 @@ class ExprGraph:
         return sa
 
     def add(self, a: NodeId, b: NodeId) -> NodeId:
-        return self._append("add", (a, b), self._same_shape("add", a, b))
+        shape = self._same_shape("add", a, b)
+        if a == b:
+            return self.scale(a, 2.0)
+        nb = self._nodes[b]
+        if nb.op == "scale" and nb.params == (-1.0,):
+            return self.sub(a, nb.inputs[0])
+        return self._append("add", (a, b), shape)
 
     def sub(self, a: NodeId, b: NodeId) -> NodeId:
         return self._append("sub", (a, b), self._same_shape("sub", a, b))
 
     def mul(self, a: NodeId, b: NodeId) -> NodeId:
-        return self._append("mul", (a, b), self._same_shape("mul", a, b))
+        shape = self._same_shape("mul", a, b)
+        if (a in self._consts) != (b in self._consts):
+            x, const = (b, a) if a in self._consts else (a, b)
+            c = self._uniform(const)
+            if c is not None:
+                return x if c == 1.0 else self.scale(x, c)
+        return self._append("mul", (a, b), shape)
+
+    def _uniform(self, const: NodeId) -> float | None:
+        """The value every entry of a constant node holds, bit for bit, or
+        None if there is no such value (so 0.0 and -0.0 are not uniform)."""
+        payload = self._nodes[const].payload
+        raw = payload.tobytes()
+        return float(payload.flat[0]) if raw and raw == raw[:8] * payload.size else None
 
     def neg(self, a: NodeId) -> NodeId:
         return self.scale(a, -1.0)
@@ -370,12 +405,14 @@ class ExprGraph:
         The plan is the id-sorted ancestor set of the outputs, resolved once
         into the instruction list described above; each step hands its rule
         the sequence its input getter takes from the value list. Shared
-        subexpressions are computed once per call, no value outlives its last
-        consumer unless it is an output, and the plan stays valid as the
-        graph grows. A variable is bound to an array of exactly its shape, or
-        to a `Stack` of B such points; all stacks in one call share B, and
-        then each output comes back with shape (B,) + its node shape, entry b
-        being the output at the b-th point of every stack.
+        subexpressions are computed once per call, and so is the im2col copy
+        that correlations of one input, margin and kernel width read, just
+        before its first reader. No value outlives its last consumer unless
+        it is an output, and the plan stays valid as the graph grows. A
+        variable is bound to an array of exactly its shape, or to a `Stack`
+        of B such points; all stacks in one call share B, and then each
+        output comes back with shape (B,) + its node shape, entry b being
+        the output at the b-th point of every stack.
         """
         key = tuple(outputs)
         for o in key:
@@ -383,25 +420,41 @@ class ExprGraph:
                 raise ContractError(f"evaluator: unknown node id {o}")
         order = sorted(self._ancestors(key))
         nodes = self._nodes
-        last_use = {i: nid for nid in order for i in nodes[nid].inputs}
-        for o in key:
-            last_use.pop(o, None)
-        dies_at: dict[NodeId, list[NodeId]] = {}
-        for i, nid in last_use.items():
-            dies_at.setdefault(nid, []).append(i)
-        consts, variables, steps = [], [], []
+        n_vals = order[-1] + 1
+        consts, variables, computed = [], [], []  # computed: (slot, rule, node, inputs)
+        rows_slot: dict[tuple, int] = {}
         for nid in order:
             node = nodes[nid]
             if node.op == "const":
                 consts.append((nid, node.payload))
             elif node.op == "var":
                 variables.append((nid, node.params[0], node.shape))
-            else:  # one input is got as a slice, so a rule still gets a sequence
-                ins = node.inputs
-                get = itemgetter(*ins) if len(ins) > 1 else itemgetter(slice(ins[0], ins[0] + 1))
-                steps.append((nid, _EVAL[node.op], node, get, tuple(dies_at.get(nid, ()))))
+            elif node.op in _FROM_ROWS:
+                # the correlation reads its input's im2col rows from a slot
+                # past the node ids, filled by the step its first reader adds
+                x, other = node.inputs
+                kw = (node.shape if node.op == "kgrad_corr" else nodes[other].shape)[1]
+                rows_key = (x, node.params[0], kw)
+                slot = rows_slot.get(rows_key)
+                if slot is None:
+                    slot = rows_slot[rows_key] = n_vals
+                    n_vals += 1
+                    computed.append((slot, _im2col, _Node("im2col", (x,), (), rows_key[1:]), (x,)))
+                computed.append((nid, _FROM_ROWS[node.op], node, (slot, other)))
+            else:
+                computed.append((nid, _EVAL[node.op], node, node.inputs))
+        last_use = {i: slot for slot, _, _, ins in computed for i in ins}
+        for o in key:
+            last_use.pop(o, None)
+        dies_at: dict[int, list[int]] = {}
+        for i, slot in last_use.items():
+            dies_at.setdefault(slot, []).append(i)
+        steps = []
+        for slot, rule, node, ins in computed:
+            # one input is got as a slice, so a rule still gets a sequence
+            get = itemgetter(*ins) if len(ins) > 1 else itemgetter(slice(ins[0], ins[0] + 1))
+            steps.append((slot, rule, node, get, tuple(dies_at.get(slot, ()))))
         out_shapes = [nodes[o].shape for o in key]
-        n_vals = order[-1] + 1
 
         def run(bindings: Mapping[str, np.ndarray | Stack]) -> list[np.ndarray]:
             vals: list = [None] * n_vals
@@ -540,6 +593,11 @@ def _margin(x: np.ndarray, m: int) -> np.ndarray:
     return k.pad2d(x, m) if m >= 0 else k.crop2d(x, -m)
 
 
+def _rows(x: np.ndarray, m: int, kw: int) -> np.ndarray:
+    """The im2col rows a correlation with margin m and kernel width kw reads."""
+    return k.im2col(_margin(x, m), kw)
+
+
 def _log_softmax(n, a):
     shifted = a[0] - a[0].max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -567,14 +625,27 @@ _EVAL.update({
     "matvec": lambda n, a: np.matmul(a[0], a[1][..., None])[..., 0],
     "matvec_t": lambda n, a: np.matmul(a[0].swapaxes(-1, -2), a[1][..., None])[..., 0],
     "outer": lambda n, a: a[0][..., :, None] * a[1][..., None, :],
-    "corr2d": lambda n, a: k.corr2d(_margin(a[0], n.params[0]), a[1]),
-    "kgrad_corr": lambda n, a: k.kgrad_corr(_margin(a[0], n.params[0]), a[1]),
+    "corr2d": lambda n, a: k.corr2d(_rows(a[0], n.params[0], a[1].shape[-3]), a[1]),
+    "kgrad_corr": lambda n, a: k.kgrad_corr(_rows(a[0], n.params[0], n.shape[1]), a[1]),
     "rotswap": lambda n, a: k.rotswap(a[0]),
     "sslice2d": lambda n, a: k.sslice2d(a[0], n.params[0]),
     "dilate2d": lambda n, a: k.dilate2d(a[0], *n.params),
     "avg_pool2d": lambda n, a: k.avg_pool(a[0], *n.params),
     "avg_unpool2d": lambda n, a: k.avg_unpool(a[0], *n.params),
 })
+
+
+# A compiled plan gives each (input, margin, kernel width) of its correlations
+# one im2col step, whose params are (margin, kw), and the correlations read it.
+# The width alone fixes the copy; kh only picks the blocks a kernel reads.
+def _im2col(n, a):
+    return _rows(a[0], *n.params)
+
+
+_FROM_ROWS: dict[str, Callable] = {
+    "corr2d": lambda n, a: k.corr2d(*a),
+    "kgrad_corr": lambda n, a: k.kgrad_corr(*a),
+}
 
 
 # ------------------------------------------------------------- VJP registry

@@ -1,6 +1,9 @@
 import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +22,8 @@ from gradleak import (
     write_bundle,
     write_image,
 )
+import gradleak
+from gradleak import cli
 from gradleak.cli import build_parser, cli_main
 from test_attack import ALTERED_TENSORS
 
@@ -358,6 +363,36 @@ def test_usage_error_exits_1(capsys):
     assert cli_main(["attack", "--model", "x"]) == 1
     assert cli_main(["no-such-command"]) == 1
     assert cli_main([]) == 1
+
+
+def test_cli_main_calls_share_one_parser_and_no_state(workspace, capsys):
+    # the parser is built on the first call, not at import, and then reused;
+    # a call, or its usage error, leaves nothing for the next call to parse
+    code = "import gradleak.cli as c; print(c._parser.cache_info().currsize)"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(Path(gradleak.__file__).parents[1])})
+    assert fresh.stdout.strip() == "0"
+    tmp, model, image = workspace
+    other = tmp / "other.pgm"
+    write_image(other, synth_image("blocks", 12, 12, 1, 4))
+    grad_path = tmp / "g.glkb"
+    assert cli_main(["victim-grad", "--model", str(model), "--image", str(image),
+                     "--label", "1", "--seed", "5", "--out", str(grad_path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["infer-label", "--grad", str(grad_path), "--model", str(model)]) == 0
+    assert cli_main(["attack", "--model", str(model)]) == 1
+    assert cli_main(["eval", "--truth", str(image), "--candidate", str(other)]) == 0
+    assert cli_main(["eval", "--truth", str(image)]) == 1
+    assert cli_main(["eval", "--truth", str(image), "--candidate", str(image)]) == 0
+    out = capsys.readouterr().out.split()
+    assert out[0] == "1" and float(out[1]) > 0 and out[2] == "0"
+    parser = cli._parser()
+    assert cli._parser() is parser
+    with_model = parser.parse_args(["infer-label", "--grad", "g", "--model", "m"])
+    assert parser.parse_args(["infer-label", "--grad", "g"]).model is None
+    assert with_model.model == "m"
+    assert sorted(vars(parser.parse_args(["eval", "--truth", "a", "--candidate", "b"]))) == [
+        "candidate", "command", "func", "truth"]
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

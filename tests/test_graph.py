@@ -1,4 +1,7 @@
+import re
+import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from gradleak import (
     ShapeError,
     Stack,
     build_model,
+    conv2d,
     default_attack_spec,
     forward_loss,
     grad,
@@ -440,18 +444,18 @@ def _fold_cases():
     first and then correlates."""
     def corr(m):
         return (lambda g, x, kr: g.corr2d(x, kr, m),
-                lambda x, kr: kern.corr2d(_margin(x, m), kr))
+                lambda x, kr: kern.corr2d(kern.im2col(_margin(x, m), 3), kr))
 
     def kgrad(m):
         return (lambda g, x, d: g.kgrad_corr(x, d, m),
-                lambda x, d: kern.kgrad_corr(_margin(x, m), d))
+                lambda x, d: kern.kgrad_corr(kern.im2col(_margin(x, m), 3), d))
 
     def backward_corr(g, d, kr):
         # _vjp_corr2d's input gradient of a padding-1, 3x3 conv
         return g.corr2d(d, g.rotswap(kr), 1)
 
     def backward_corr_ref(d, kr):
-        return kern.corr2d(kern.pad2d(d, 1), kern.rotswap(kr))
+        return kern.corr2d(kern.im2col(kern.pad2d(d, 1), 3), kern.rotswap(kr))
 
     def strided(g, d, kr):
         # stride-2 conv of a 9x9 input padded by 1: dilate, then the same backward correlation
@@ -547,13 +551,17 @@ def _gradient_plan_nodes(params):
 
 
 def test_grad_sums_a_nodes_contributions_pairwise():
-    # x has four consumers: its adjoint is (p0 + p1) + (p2 + p3), not a running sum
+    # x has four consumers: its adjoint is (p0 + p1) + (p2 + p3), not a running
+    # sum; each p is a variable w, so no builder fold applies to the sums, and
+    # the consumers are swept from the last, so p0 comes from w3
     g = ExprGraph()
     x = g.variable("x", (2,))
-    terms = [g.sum_all(g.scale(x, c)) for c in (1.0, 2.0, 3.0, 4.0)]
+    w = [g.variable(f"w{i}", (2,)) for i in range(4)]
+    terms = [g.sum_all(g.mul(x, wi)) for wi in w]
     gx = grad(g, [x], of=g.add(g.add(terms[0], terms[1]), g.add(terms[2], terms[3])))[x]
-    assert [g.op_of(i) for i in g.node(gx).inputs] == ["add", "add"]
-    assert g.eval({"x": np.zeros(2)}, [gx])[0].tolist() == [10.0, 10.0]
+    assert g.node(gx).inputs == (g.add(w[3], w[2]), g.add(w[1], w[0]))
+    bindings = {"x": np.zeros(2), **{f"w{i}": np.full(2, i + 1.0) for i in range(4)}}
+    assert g.eval(bindings, [gx])[0].tolist() == [10.0, 10.0]
 
 
 def test_grad_leaves_no_correlation_without_a_consumer():
@@ -732,12 +740,16 @@ def test_compiled_plan_matches_an_evaluator_that_keeps_every_node():
     x = g.variable("x", (5, 5, 1))
     kr = g.variable("k", (3, 3, 1, 2))
     t = g.variable("t", (3, 3, 2))
+    u = g.variable("u", (3, 3, 2))
     s = g.sigmoid(g.corr2d(x, kr))
     e = g.exp(s)
     d = g.sub(e, t)
     loss = g.sq_diff_sum(e, t)
     assert g.node(g.node(loss).inputs[0]).inputs == (d, d)  # mul(d, d)
-    total = g.add(loss, g.sum_all(g.add(g.mul(s, s), g.scale(d, 0.5))))
+    # no gradient output reads q, so mul(q, q) is its last use in the plan
+    q = g.exp(u)
+    total = g.add(g.add(loss, g.sum_all(g.add(g.mul(s, s), g.scale(d, 0.5)))),
+                  g.sum_all(g.mul(q, q)))
     outputs = [total, d, g.reshape(e, (18,))]
     outputs += list(grad(g, [x, kr, t], total).values())
     plan = sorted(g._ancestors(outputs))
@@ -747,7 +759,8 @@ def test_compiled_plan_matches_an_evaluator_that_keeps_every_node():
     run = g.evaluator(outputs)
 
     rng = SeedRng(53)
-    plain = {"x": _rand(rng, (5, 5, 1)), "k": _rand(rng, (3, 3, 1, 2)), "t": _rand(rng, (3, 3, 2))}
+    plain = {"x": _rand(rng, (5, 5, 1)), "k": _rand(rng, (3, 3, 1, 2)), "t": _rand(rng, (3, 3, 2)),
+             "u": _rand(rng, (3, 3, 2))}
     stacked = {**plain, "x": Stack(_rand(rng, (3, 5, 5, 1))), "t": Stack(_rand(rng, (3, 3, 3, 2)))}
     for bindings in (plain, stacked):
         got, want = run(bindings), _keep_every_node(g, outputs, bindings)
@@ -783,13 +796,162 @@ def test_plans_call_kernels_through_the_module(monkeypatch):
     bindings = {"x": _rand(rng, (4, 4, 1)), "k": _rand(rng, (3, 3, 1, 2))}
     (want,) = run(bindings)
     seen = []
-    corr2d = kern.corr2d
+    for name in ("im2col", "corr2d"):
+        def wrapped(*args, name=name, kernel=getattr(kern, name)):
+            seen.append((name,) + tuple(np.shape(a) for a in args))
+            return kernel(*args)
 
-    def wrapped(*args):
-        seen.append(tuple(a.shape for a in args))
-        return corr2d(*args)
-
-    monkeypatch.setattr(kern, "corr2d", wrapped)
+        monkeypatch.setattr(kern, name, wrapped)
     (got,) = run(bindings)
-    assert seen == [((6, 6, 1), (3, 3, 1, 2))]
+    assert seen == [("im2col", (6, 6, 1), ()), ("corr2d", (6, 4, 3, 1), (3, 3, 1, 2))]
     assert np.array_equal(got, want)
+
+
+def test_one_im2col_step_serves_every_correlation_of_an_input(monkeypatch):
+    # two corr2d and a kgrad_corr on one (input, margin): one im2col call per
+    # evaluation, the same bytes as each correlation on its own, and the rows
+    # are dropped after their last reader, before the sigmoid runs
+    g = ExprGraph()
+    x = g.variable("x", (6, 6, 2))
+    k1, k2 = g.variable("k1", (3, 3, 2, 3)), g.variable("k2", (3, 3, 2, 3))
+    dy = g.variable("dy", (6, 6, 4))
+    corrs = [g.corr2d(x, k1, 1), g.corr2d(x, k2, 1), g.kgrad_corr(x, dy, 1)]
+    outputs = corrs + [g.sigmoid(g.add(corrs[0], corrs[1]))]
+    run = g.evaluator(outputs)
+    rng = SeedRng(43)
+    point = {"x": _rand(rng, (6, 6, 2)), "k1": _rand(rng, (3, 3, 2, 3)),
+             "k2": _rand(rng, (3, 3, 2, 3)), "dy": _rand(rng, (6, 6, 4))}
+    rows, alive_at_sigmoid = [], []
+    im2col, sigmoid = kern.im2col, kern.sigmoid
+
+    def counted(*args):
+        out = im2col(*args)
+        rows.append(weakref.ref(out))
+        return out
+
+    def probe(v):
+        alive_at_sigmoid.extend(r() is not None for r in rows)
+        return sigmoid(v)
+
+    monkeypatch.setattr(kern, "im2col", counted)
+    monkeypatch.setattr(kern, "sigmoid", probe)
+    for bindings in (point, {**point, "x": Stack(_rand(rng, (2, 6, 6, 2)))}):
+        rows.clear()
+        alive_at_sigmoid.clear()
+        got = run(bindings)
+        assert len(rows) == 1 and alive_at_sigmoid == [False]
+        alone = [g.evaluator([c])(bindings)[0] for c in corrs]
+        assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in alone]
+        assert [a.tobytes() for a in got] == [
+            a.tobytes() for a in _keep_every_node(g, outputs, bindings)]
+    monkeypatch.undo()
+    (got,) = g.evaluator([corrs[0]])(point)
+    assert got.tobytes() == conv2d(point["x"], point["k1"], zero_padding=1).array.tobytes()
+
+
+def test_a_gd_step_makes_one_im2col_call_per_correlation_input(monkeypatch):
+    # the 12x12 dlg step plan: 12 correlations read 7 (input, margin) pairs
+    g, outputs = _gd_and_gn_plans()["baseline"]
+    plan = g._ancestors(outputs)
+    corrs = [g.node(n) for n in plan if g.op_of(n) in ("corr2d", "kgrad_corr")]
+    assert len(corrs) == 12 and len({(n.inputs[0], n.params[0]) for n in corrs}) == 7
+    run = g.evaluator(outputs)
+    rng = SeedRng(47)
+    bindings = {name: _rand(rng, g.shape_of(nid)) for name, nid in g.variables().items()}
+    calls = []
+    im2col = kern.im2col
+    monkeypatch.setattr(kern, "im2col", lambda *a: calls.append(a) or im2col(*a))
+    run(bindings)
+    assert len(calls) == 7
+
+
+# ------------------------------------------------------------ builder folds
+
+
+def _edge_values(seed, shape):
+    """Random values with about half replaced by +-0.0, subnormals or the
+    largest finite values."""
+    rng = np.random.default_rng(seed)
+    tiny, big = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+    special = rng.choice(np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, big, -big]), shape)
+    return np.where(rng.uniform(size=shape) < 0.5, special, rng.uniform(-3.0, 3.0, shape))
+
+
+_S = (3, 4)
+_TINY, _BIG = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+
+
+def _uniform_mul(c, left):
+    def build(g, a, b):
+        k = g.constant(np.full(_S, c))
+        return g.mul(k, a) if left else g.mul(a, k)
+
+    def unrewritten(g, a, b):
+        k = g.constant(np.full(_S, c))
+        return g._append("mul", (k, a) if left else (a, k), _S)
+
+    return build, unrewritten
+
+
+def _constant_mul(values):
+    # a constant that is not uniform bit for bit: the builder must keep the mul
+    return (lambda g, a, b: g.mul(a, g.constant(np.reshape(values, _S))),
+            lambda g, a, b: g._append("mul", (a, g.constant(np.reshape(values, _S))), _S))
+
+
+# name -> (builder call, the same value as the node sequence it replaces,
+# the op the builder gives, or None for the operand a itself)
+_REWRITES = {
+    **{f"mul {side} by {c!r}": (*_uniform_mul(c, side == "left"), None if c == 1.0 else "scale")
+       for c in (1.0, 2.0, -1.0, 0.5, 0.0, -0.0, _TINY, -_BIG) for side in ("left", "right")},
+    "add a a": (lambda g, a, b: g.add(a, a), lambda g, a, b: g._append("add", (a, a), _S),
+                "scale"),
+    "add a -b": (lambda g, a, b: g.add(a, g.scale(b, -1.0)),
+                 lambda g, a, b: g._append("add", (a, g.scale(b, -1.0)), _S), "sub"),
+    "mul by ones but one": (*_constant_mul([1.0] * 11 + [3.0]), "mul"),
+    "mul by -0.0 and 0.0": (*_constant_mul([-0.0, 0.0] * 6), "mul"),
+    "mul by 2 and 2 + ulp": (*_constant_mul([2.0] * 11 + [np.nextafter(2.0, 3.0)]), "mul"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REWRITES))
+def test_builder_rewrites_keep_every_bit(case):
+    build, unrewritten, op = _REWRITES[case]
+    g = ExprGraph()
+    a, b = g.variable("a", _S), g.variable("b", _S)
+    node, reference = build(g, a, b), unrewritten(g, a, b)
+    assert node == a if op is None else g.op_of(node) == op
+    run = g.evaluator([node, reference])
+    point = {"a": _edge_values(1, _S), "b": _edge_values(2, _S)}
+    stack = {"a": Stack(_edge_values(3, (4,) + _S)), "b": Stack(_edge_values(4, (4,) + _S))}
+    for bindings in (point, stack):
+        with np.errstate(over="ignore"):
+            got, want = run(bindings)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_primitive_scenarios()))
+def test_a_node_over_constants_is_the_constant_its_rule_gives(name):
+    var_shapes, build = _primitive_scenarios()[name]
+    values = {v: _edge_values(i, s) for i, (v, s) in enumerate(var_shapes.items())}
+    g = ExprGraph()
+    with np.errstate(over="ignore", invalid="ignore"):
+        (want,) = g.evaluator([build(g, {v: g.variable(v, s) for v, s in var_shapes.items()})])(values)
+        folded = build(g, {v: g.constant(a) for v, a in values.items()})
+    assert g.op_of(folded) == "const"
+    assert g.node(folded).payload.tobytes() == np.asarray(want).tobytes()
+
+
+def test_readme_plan_sizes_are_the_compiled_plans():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme.split())
+    (gd, improved), = re.findall(r"the 12x12 `gd` plan has (\d+) nodes \((\d+) with `--improved`\)",
+                                 text)
+    (victim,) = re.findall(r"plan \((\d+) nodes at 16x16\)", text)
+    plans = _gd_and_gn_plans()
+    victim_graph, victim_outputs = _gradient_plan_nodes(
+        build_model(default_attack_spec(16, 16, 1, 2), SeedRng(5)))
+    assert [int(gd), int(improved), int(victim)] == [
+        len(plans["baseline"][0]._ancestors(plans["baseline"][1])),
+        len(plans["improved"][0]._ancestors(plans["improved"][1])),
+        len(victim_graph._ancestors(victim_outputs))]
