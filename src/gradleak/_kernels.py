@@ -13,8 +13,14 @@ that copy, view it as the kh overlapping blocks the kernel rows read and
 make one stacked GEMM over the kernel rows, so correlations that read one
 input share one copy. `corr2d` then sums the rows' products in row order.
 `avg_unpool` fills the disjoint cells of a window == stride pool (the
-layer's own geometry) with one broadcast assignment; overlapping or gapped
-windows keep the loop.
+layer's own geometry) with one broadcast assignment, into an uninitialised
+canvas when the windows tile it; overlapping or gapped windows keep the loop.
+
+A compiled plan calls these kernels on small arrays (a 12x12 attack step
+makes about 40 kernel calls of a few microseconds each), so fixed per-call
+work counts as much as arithmetic: a correlation reads its leading axes off
+its rows unless the kernel is stacked, and `avg_pool` adds its cells into
+one accumulator without building a list of them.
 """
 
 from __future__ import annotations
@@ -69,18 +75,23 @@ def corr2d(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     One stacked GEMM gives every kernel row's (oh*ow, kw*C) @ (kw*C, D)
     product, written kernel row first so each row's products are contiguous
-    for any leading axes. The rows are then summed by explicit adds in order
+    for any leading axes. The leading axes are the rows' own when the kernel
+    has none, as in the attacks' plans, else the broadcast of both operands';
+    without any, the GEMM's own output is already in that order. The rows
+    are then summed by explicit adds in order
     0, 1, ..., kh-1. A `sum` over the row axis would not keep that order:
     NumPy sums pairwise when the reduced axis becomes its inner loop (a 1x1
     output of one channel), which changes the low bits.
     """
     kh, kw, c, d = k.shape[-4:]
     oh, ow = rows.shape[-4] - kh + 1, rows.shape[-3]
-    # the leading axes, in a fraction of np.broadcast_shapes' few microseconds
-    lead = np.broadcast(rows[..., 0, 0, 0, 0], k[..., 0, 0, 0, 0]).shape
-    parts = np.empty((kh,) + lead + (oh * ow, d), dtype=rows.dtype)
-    np.matmul(_row_blocks(rows, kh), k.reshape(k.shape[:-4] + (kh, kw * c, d)),
-              out=parts.transpose(*range(1, len(lead) + 1), 0, -2, -1))
+    lead = rows.shape[:-4] if k.ndim == 4 else np.broadcast_shapes(rows.shape[:-4], k.shape[:-4])
+    blocks, kr = _row_blocks(rows, kh), k.reshape(k.shape[:-4] + (kh, kw * c, d))
+    if lead:
+        parts = np.empty((kh,) + lead + (oh * ow, d), dtype=rows.dtype)
+        np.matmul(blocks, kr, out=parts.transpose(*range(1, len(lead) + 1), 0, -2, -1))
+    else:
+        parts = blocks @ kr
     out = parts[0]
     if kh > 1:
         out = out + parts[1]
@@ -133,11 +144,10 @@ def avg_pool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     ow = (x.shape[-2] - window) // stride + 1
     rows = (oh - 1) * stride + 1
     cols = (ow - 1) * stride + 1
-    cells = [x[..., a : a + rows : stride, b : b + cols : stride, :]
-             for a in range(window) for b in range(window)]
-    total = cells[0] + 0.0
-    for cell in cells[1:]:
-        total += cell
+    total = x[..., 0 : rows : stride, 0 : cols : stride, :] + 0.0
+    for a in range(window):
+        for b in range(a == 0, window):  # cell (0, 0) is already in
+            total += x[..., a : a + rows : stride, b : b + cols : stride, :]
     total /= float(window * window)
     return total
 
@@ -148,7 +158,9 @@ def avg_unpool(gy: np.ndarray, window: int, stride: int, h: int, w: int) -> np.n
     Every pixel is 0.0 plus the shares of the windows covering it.
     """
     gh, gw, c = gy.shape[-3:]
-    out = np.zeros(gy.shape[:-3] + (h, w, c), dtype=gy.dtype)
+    tiled = window == stride and gh * stride == h and gw * stride == w
+    # disjoint windows that tile the canvas write every pixel; else start from zeros
+    out = (np.empty if tiled else np.zeros)(gy.shape[:-3] + (h, w, c), dtype=gy.dtype)
     g = gy / float(window * window)
     if window == stride:
         cells = out[..., : gh * stride, : gw * stride, :].reshape(

@@ -374,7 +374,9 @@ class _GaussNewtonStepper:
         """Residual rows at each point of a (B, pixels) stack, one row per point."""
         self._bindings["x"] = Stack(zs.reshape((-1,) + self._shape))
         grads = self._eval(self._bindings)
-        return np.concatenate([a.reshape(len(zs), -1) for a in grads], axis=1) - self._targets
+        rows = np.concatenate([a.reshape(len(zs), -1) for a in grads], axis=1)
+        rows -= self._targets
+        return rows
 
     def _jacobian_t(self, z, r) -> np.ndarray:
         """Forward-difference Jacobian, transposed: row i is dr/dz_i. The rows

@@ -22,7 +22,10 @@ inputs (an `operator.itemgetter`, built once) and the slots whose last
 consumer it is. The correlations of one input, margin and kernel width
 share one more step, the im2col copy of their padded input (Chellapilla et
 al., 2006), in a slot past the node ids. A call fills a plain list step by
-step and drops every value that is not an output after its last use. Rules
+step and drops every value that is not an output after its last use.
+Plans of small arrays spend about as much on per-call bookkeeping as on
+arithmetic, so a float64 ndarray bound to a variable of its shape is used
+as it is, without the conversion and checks other bindings get. Rules
 look up `_kernels` functions when they run, so a wrapper installed on the
 module after a plan is compiled still sees every kernel call.
 
@@ -412,7 +415,10 @@ class ExprGraph:
         variable is bound to an array of exactly its shape, or to a `Stack`
         of B such points; all stacks in one call share B, and then each
         output comes back with shape (B,) + its node shape, entry b being
-        the output at the b-th point of every stack.
+        the output at the b-th point of every stack. A float64 ndarray of
+        the variable's shape is used as it is, in any layout; anything else
+        (a `Tensor`, another dtype, nested lists) goes through `_bound` and
+        the shape checks.
         """
         key = tuple(outputs)
         for o in key:
@@ -462,6 +468,10 @@ class ExprGraph:
                 vals[nid] = payload
             size = None
             for nid, name, shape in variables:
+                arr = bindings.get(name)
+                if type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == shape:
+                    vals[nid] = arr  # _bound would return it as it is
+                    continue
                 arr = _bound(bindings, name)
                 if isinstance(arr, Stack):
                     arr = arr.points
@@ -599,8 +609,8 @@ def _rows(x: np.ndarray, m: int, kw: int) -> np.ndarray:
 
 
 def _log_softmax(n, a):
-    shifted = a[0] - a[0].max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = a[0] - np.maximum.reduce(a[0], axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _fill(n, a):
@@ -618,7 +628,7 @@ _EVAL.update({
     "sigmoid": lambda n, a: k.sigmoid(a[0]),
     "relu": lambda n, a: np.maximum(a[0], 0.0),
     "step": lambda n, a: (a[0] > 0).astype(np.float64),
-    "sum_all": lambda n, a: np.asarray(a[0].sum(axis=n.params[0])),
+    "sum_all": lambda n, a: np.asarray(np.add.reduce(a[0], axis=n.params[0])),
     "log_softmax": _log_softmax,
     "fill": _fill,
     "reshape": lambda n, a: a[0].reshape(a[0].shape[: a[0].ndim - n.params[1]] + n.params[0]),

@@ -20,6 +20,7 @@ from gradleak import (
     SeedRng,
     ShapeError,
     Stack,
+    Tensor,
     build_model,
     conv2d,
     default_attack_spec,
@@ -405,6 +406,64 @@ def test_eval_rejects_bad_bindings():
     with pytest.raises(ContractError) as caught:
         g.evaluator([out, len(g)])
     assert str(caught.value) == f"evaluator: unknown node id {len(g)}"
+
+
+def _coerced(v):
+    """The float64 array a plain binding evaluates as."""
+    return v.array if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
+
+
+def test_plan_bindings_evaluate_as_their_float64_arrays():
+    # any kind of binding evaluates exactly as the float64 array it is
+    # coerced to; a float64 ndarray, of any layout, is bound as it is
+    g = ExprGraph()
+    x = g.variable("x", (3, 4))
+    w = g.variable("w", (2, 12))
+    outputs = [g.matvec(w, g.reshape(g.sigmoid(x), (12,))), g.sum_all(g.mul(x, x)), x]
+    run = g.evaluator(outputs)
+    rng = SeedRng(21)
+    base, wide = _rand(rng, (3, 4), 3.0), _rand(rng, (3, 8), 3.0)
+    w0, w_wide = _rand(rng, (2, 12)), _rand(rng, (12, 2))
+    read_only = base.copy()
+    read_only.flags.writeable = False
+    kinds = {
+        "float64": base,
+        "float32": base.astype(np.float32),
+        "int": np.arange(-6, 6).reshape(3, 4),
+        "nested_list": base.tolist(),
+        "tensor": Tensor(base),
+        "strided_view": wide[:, ::2],
+        "fortran_order": np.asfortranarray(base),
+        "read_only": read_only,
+        "broadcast_view": np.broadcast_to(base[0], (3, 4)),
+        "masked_array": np.ma.masked_array(base),
+    }
+    for kind, value in kinds.items():
+        for w_value in (w0, w_wide.T):
+            got = run({"x": value, "w": w_value})
+            want = _keep_every_node(g, outputs, {"x": _coerced(value), "w": w_value})
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], kind
+            if type(value) is np.ndarray and value.dtype == np.float64:
+                assert got[2] is value, kind
+
+    wrong = {
+        "float64": base.T,
+        "float32": base.T.astype(np.float32),
+        "nested_list": base.T.tolist(),
+        "tensor": Tensor(base.T),
+        "strided_view": wide[:, ::2].T,
+        "stack_shaped": np.stack([base, base]),
+        "scalar": np.float64(1.0),
+    }
+    for kind, value in wrong.items():
+        shape = np.shape(value)
+        with pytest.raises(ShapeError) as caught:
+            run({"x": value, "w": w0})
+        assert str(caught.value) == (f"eval: binding for 'x' has shape {shape}, "
+                                     f"variable expects (3, 4)"), kind
+    with pytest.raises(ContractError) as caught:
+        run({"w": w0})
+    assert str(caught.value) == "eval: no binding for variable 'x'"
 
 
 def test_build_time_shape_errors():

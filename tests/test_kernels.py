@@ -139,3 +139,31 @@ def test_correlations_keep_the_row_order_of_tall_kernels(kh, lead):
             dy = _special_mix(seed + 200, lead + (h - kh + 1, w - kw + 1, d))
             assert _same_bits(_corr2d(x, kernel), oracles.row_loop_corr2d(x, kernel))
             assert _same_bits(_kgrad_corr(x, dy), oracles.row_loop_kgrad_corr(x, dy))
+
+
+@pytest.mark.parametrize("x_lead, other_lead", [
+    ((), (3,)),          # the kernel (or dy) alone is stacked
+    ((3,), ()),          # the rows alone
+    ((3,), (3,)),        # both, axis for axis
+    ((3,), (1,)),        # a size-1 axis broadcast against the rows'
+    ((1,), (3,)),
+    ((2, 1), (3,)),      # two leading axes from two operands
+])
+def test_correlation_leading_axes_broadcast_like_per_point_calls(x_lead, other_lead):
+    # entry i of a stacked call is the call on entry i of each operand,
+    # broadcast over size-1 axes, whichever operand carries the axes
+    lead = np.broadcast_shapes(x_lead, other_lead)
+    for seed in range(3):
+        x = _special_mix(seed, x_lead + (7, 6, 2))
+        kernel = _special_mix(seed + 10, other_lead + (3, 3, 2, 4))
+        dy = _special_mix(seed + 20, other_lead + (5, 4, 4))
+        rows = k.im2col(x, 3)
+        stacked = {"corr2d": k.corr2d(rows, kernel), "kgrad_corr": k.kgrad_corr(rows, dy)}
+        for name, other in (("corr2d", kernel), ("kgrad_corr", dy)):
+            rb = np.broadcast_to(rows, lead + rows.shape[len(x_lead):])
+            ob = np.broadcast_to(other, lead + other.shape[len(other_lead):])
+            fn = getattr(k, name)
+            singles = [fn(np.ascontiguousarray(rb[i]), np.ascontiguousarray(ob[i]))
+                       for i in np.ndindex(lead)]
+            want = np.stack(singles).reshape(lead + singles[0].shape)
+            assert _same_bits(stacked[name], want), name
