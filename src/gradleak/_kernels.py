@@ -12,15 +12,18 @@ of every input row side by side once, and `corr2d` and `kgrad_corr` take
 that copy, view it as the kh overlapping blocks the kernel rows read and
 make one stacked GEMM over the kernel rows, so correlations that read one
 input share one copy. `corr2d` then sums the rows' products in row order.
-`avg_unpool` fills the disjoint cells of a window == stride pool (the
-layer's own geometry) with one broadcast assignment, into an uninitialised
-canvas when the windows tile it; overlapping or gapped windows keep the loop.
 
 A compiled plan calls these kernels on small arrays (a 12x12 attack step
-makes about 40 kernel calls of a few microseconds each), so fixed per-call
-work counts as much as arithmetic: a correlation reads its leading axes off
-its rows unless the kernel is stacked, and `avg_pool` adds its cells into
-one accumulator without building a list of them.
+makes about 40 kernel calls of a few microseconds each, over inner loops of
+6 or 12 channels), so fixed per-call work and the number of NumPy loops
+count as much as arithmetic. Each kernel keeps the arithmetic, and its
+order, of the slice loops in `tests/oracles.py` and cuts the loops instead:
+- a correlation reads its leading axes off its rows unless the kernel is
+  stacked, and without leading axes sums its kernel rows with one reduction;
+- `avg_pool` adds its cells into one accumulator, and for the pooling
+  layers' own geometry, window == stride windows that tile the canvas,
+  `avg_unpool` is two `repeat` calls on its shares;
+- `sigmoid` picks its numerator with `np.maximum` instead of `np.where`.
 """
 
 from __future__ import annotations
@@ -78,10 +81,12 @@ def corr2d(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
     for any leading axes. The leading axes are the rows' own when the kernel
     has none, as in the attacks' plans, else the broadcast of both operands';
     without any, the GEMM's own output is already in that order. The rows
-    are then summed by explicit adds in order
-    0, 1, ..., kh-1. A `sum` over the row axis would not keep that order:
-    NumPy sums pairwise when the reduced axis becomes its inner loop (a 1x1
-    output of one channel), which changes the low bits.
+    are then summed in order 0, 1, ..., kh-1: without leading axes by one
+    `np.add.reduce` over the row axis, which adds whole rows one after
+    another, and with them by explicit adds, which are faster there. The explicit adds
+    also serve a 1x1 output of one channel with kh >= 8, where the row axis
+    becomes the reduction's inner loop and NumPy sums it pairwise, which
+    changes the low bits.
     """
     kh, kw, c, d = k.shape[-4:]
     oh, ow = rows.shape[-4] - kh + 1, rows.shape[-3]
@@ -92,6 +97,9 @@ def corr2d(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
         np.matmul(blocks, kr, out=parts.transpose(*range(1, len(lead) + 1), 0, -2, -1))
     else:
         parts = blocks @ kr
+        if kh < 8 or oh * ow * d > 1:
+            # from kh = 8 NumPy sums the rows of one output element pairwise
+            return np.add.reduce(parts, axis=0).reshape(oh, ow, d)
     out = parts[0]
     if kh > 1:
         out = out + parts[1]
@@ -158,10 +166,12 @@ def avg_unpool(gy: np.ndarray, window: int, stride: int, h: int, w: int) -> np.n
     Every pixel is 0.0 plus the shares of the windows covering it.
     """
     gh, gw, c = gy.shape[-3:]
-    tiled = window == stride and gh * stride == h and gw * stride == w
-    # disjoint windows that tile the canvas write every pixel; else start from zeros
-    out = (np.empty if tiled else np.zeros)(gy.shape[:-3] + (h, w, c), dtype=gy.dtype)
     g = gy / float(window * window)
+    if window == stride and gh * stride == h and gw * stride == w:
+        # disjoint windows tile the canvas: every pixel is its one share + 0.0
+        g += 0.0
+        return g.repeat(stride, axis=-3).repeat(stride, axis=-2)
+    out = np.zeros(gy.shape[:-3] + (h, w, c), dtype=gy.dtype)
     if window == stride:
         cells = out[..., : gh * stride, : gw * stride, :].reshape(
             gy.shape[:-3] + (gh, stride, gw, stride, c))
@@ -179,7 +189,7 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     """1/(1 + exp(-v)), masked into two branches so no exp ever overflows:
     v >= 0 takes 1/(1 + e) and v < 0 takes e/(1 + e), both with e = exp(-|v|)."""
     e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0, e)
+    out = np.maximum(e, v >= 0)  # 1.0 where v >= 0, since e <= 1; else e, NaN included
     e += 1.0
     out /= e
     return out

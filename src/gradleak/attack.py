@@ -32,6 +32,7 @@ digest, and its tensor names and shapes in the spec's order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -279,7 +280,8 @@ def _build_attack_graph(params: ModelParams, cfg: AttackConfig) -> _AttackGraph:
 
 
 # each stepper is built at the starting point and holds the current image
-# `x`, label logits or target `y` and `distance`; `step()` moves it once
+# `x`, label logits or target `y` and `distance`; `step()` moves it once,
+# and once `held` is true no step moves it again
 
 
 class _GdStepper:
@@ -287,6 +289,8 @@ class _GdStepper:
     optional halve-on-increase guard for stiff cases. One plan gives the
     distance and both meta-gradients at every point the stepper moves to,
     halving trials included."""
+
+    held = False
 
     def __init__(self, params: ModelParams, target: GradientBundle, cfg: AttackConfig, x, y):
         ag = _build_attack_graph(params, cfg)
@@ -346,6 +350,12 @@ class _GaussNewtonStepper:
     The point is held, and nothing is evaluated again, once the distance
     falls to the freeze threshold or a step from a fresh Jacobian rejects
     every damping it tries.
+
+    Every residual evaluation, the start, the forward-difference blocks and
+    the trial points, goes through `_residual`. A single point is bound as
+    itself rather than as a 1-point `Stack`, which the plan evaluates with
+    less per-call work and the same bits, and each block's rows are written
+    straight into the Jacobian.
     """
 
     def __init__(self, params: ModelParams, label: int, cfg: AttackConfig,
@@ -364,17 +374,31 @@ class _GaussNewtonStepper:
         z = x.ravel()
         self._move_to(z, self._rows(z[None])[0])
 
+    @property
+    def held(self) -> bool:
+        return self._held
+
     def _move_to(self, z, r) -> None:
         self._z, self._r = z, r
         self.x = z.reshape(self._shape)
         self.distance = float(r @ r)
         self._held = self.distance <= _GN_FREEZE_DISTANCE
 
-    def _rows(self, zs) -> np.ndarray:
-        """Residual rows at each point of a (B, pixels) stack, one row per point."""
-        self._bindings["x"] = Stack(zs.reshape((-1,) + self._shape))
-        grads = self._eval(self._bindings)
-        rows = np.concatenate([a.reshape(len(zs), -1) for a in grads], axis=1)
+    def _residual(self, zs) -> list[np.ndarray]:
+        """The residual plan's outputs, the virtual gradients, at each point of
+        a (B, pixels) stack; B = 1 binds the point itself, whose outputs
+        then have no stack axis."""
+        if len(zs) == 1:
+            self._bindings["x"] = zs[0].reshape(self._shape)
+        else:
+            self._bindings["x"] = Stack(zs.reshape((-1,) + self._shape))
+        return self._eval(self._bindings)
+
+    def _rows(self, zs, out=None) -> np.ndarray:
+        """Residual rows at each point of a (B, pixels) stack, one row per
+        point, written into `out` when it is given."""
+        rows = np.concatenate([g.reshape(len(zs), -1) for g in self._residual(zs)], axis=1,
+                              out=out)
         rows -= self._targets
         return rows
 
@@ -387,8 +411,8 @@ class _GaussNewtonStepper:
             idx = np.arange(min(_GN_JAC_BLOCK, n - s))
             zp = np.repeat(z[None, :], idx.size, axis=0)
             zp[idx, s + idx] += _GN_FD_STEP
-            block = jt[s : s + idx.size]
-            np.subtract(self._rows(zp), r, out=block)
+            block = self._rows(zp, out=jt[s : s + idx.size])
+            block -= r
             block /= _GN_FD_STEP
         return jt
 
@@ -483,13 +507,15 @@ def _run_attack(spec: ModelSpec, params: ModelParams, target: GradientBundle,
     limit = _DIVERGENCE_FACTOR * max(stepper.distance, _DIVERGENCE_FLOOR)
 
     for i in range(1, cfg.iterations + 1):
-        stepper.step()
-        dist = stepper.distance
-        if not np.isfinite(dist) or dist > limit:
-            raise DivergenceError(
-                f"gradient distance {dist} exceeded {limit} at iteration {i}",
-                trace=AttackTrace(tuple(records)),
-            )
+        # a held stepper's point, distance and events stay as the check left them
+        if not stepper.held:
+            stepper.step()
+            dist = stepper.distance
+            if not math.isfinite(dist) or dist > limit:
+                raise DivergenceError(
+                    f"gradient distance {dist} exceeded {limit} at iteration {i}",
+                    trace=AttackTrace(tuple(records)),
+                )
 
         if i in checkpoints:
             snapshot = Tensor(stepper.x)

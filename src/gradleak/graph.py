@@ -415,10 +415,12 @@ class ExprGraph:
         variable is bound to an array of exactly its shape, or to a `Stack`
         of B such points; all stacks in one call share B, and then each
         output comes back with shape (B,) + its node shape, entry b being
-        the output at the b-th point of every stack. A float64 ndarray of
-        the variable's shape is used as it is, in any layout; anything else
-        (a `Tensor`, another dtype, nested lists) goes through `_bound` and
-        the shape checks.
+        the output at the b-th point of every stack. An output computed
+        from a stack is returned as it is; one that depends on no stacked
+        variable is a read-only broadcast of its single value. A float64
+        ndarray of the variable's shape is used as it is, in any layout;
+        anything else (a `Tensor`, another dtype, nested lists) goes through
+        `_bound` and the shape checks.
         """
         key = tuple(outputs)
         for o in key:
@@ -492,9 +494,12 @@ class ExprGraph:
                 vals[nid] = rule(node, get(vals))
                 for d in dead:
                     vals[d] = None
+            outs = [vals[o] for o in key]
             if size is None:
-                return [vals[o] for o in key]
-            return [np.broadcast_to(vals[o], (size,) + shape) for o, shape in zip(key, out_shapes)]
+                return outs
+            # an output that does not depend on a stacked variable is broadcast
+            return [a if a.ndim > len(shape) else np.broadcast_to(a, (size,) + shape)
+                    for a, shape in zip(outs, out_shapes)]
 
         return run
 

@@ -44,6 +44,8 @@ from gradleak.attack import (
     _GaussNewtonStepper,
     _build_attack_graph,
 )
+import gradleak.attack
+from gradleak import cli
 from gradleak.cli import cli_main
 from gradleak.models import Activation, Conv, Dense, Flatten, Pool
 from oracles import explicit_broyden_update, fd_gradient, rel_err, softmax_hp
@@ -576,17 +578,17 @@ class TestGaussNewtonJacobian:
         stepper = self._demo_stepper()
         for _ in range(3):
             stepper.step()
-        rows, trials = stepper._rows, []
+        residual, trials = stepper._residual, []
 
         def pushed_first_trial(zs):
-            out = rows(zs)
+            grads = residual(zs)
             if len(zs) == 1:
                 trials.append((stepper._mu, len(stepper._pairs), stepper._jt0))
                 if len(trials) == 1:
-                    out = out + 1.0
-            return out
+                    grads = [g + 1.0 for g in grads]
+            return grads
 
-        stepper._rows = pushed_first_trial
+        stepper._residual = pushed_first_trial
         z, r, events = stepper._z, stepper._r, stepper.step_events
         stepper.step()
         (mu, pairs, _), (retry_mu, retry_pairs, retry_jt0) = trials
@@ -644,6 +646,60 @@ class TestGaussNewtonJacobian:
         assert len({r.distance for r in held}) == 1
         assert held[0].distance > _GN_FREEZE_DISTANCE
         assert [r.step_events for r in held] == [held[0].step_events] * 3
+
+
+class _SteppedWhileHeld(_GaussNewtonStepper):
+    """Never reports itself held, so the attack loop steps it at every
+    iteration, as the loop did before it stopped at a held point; each step
+    of a held point still returns at once."""
+
+    held = False
+
+
+def _held_case(case):
+    """(spec, params, bundle, cfg, truth) of criterion-6 run 0, which freezes,
+    or of `test_point_no_damping_moves_is_held`, with its first client's image
+    as the truth so that a report is written."""
+    if case == "criterion_6_run_0":
+        spec = default_attack_spec(16, 16, 1, 2)
+        params = build_model(spec, SeedRng(0))
+        truth = synth_image("blocks", 16, 16, 1, 0).to_tensor()
+        bundle = victim_gradient(params, truth, one_hot(0, 2))
+        cfg = AttackConfig(eta=1.0, iterations=200, seed=1000003,
+                           checkpoints=(20, 40, 50, 80, 200), optimizer="gauss_newton")
+        return spec, params, bundle, cfg, truth
+    spec = default_attack_spec(12, 12, 1, 2)
+    params = build_model(spec, SeedRng(13))
+    images = [synth_image("blocks", 12, 12, 1, s).to_tensor() for s in (23, 24)]
+    bundle = aggregate([victim_gradient(params, x, one_hot(1, 2)) for x in images])
+    cfg = AttackConfig(iterations=60, seed=3, checkpoints=(1, 45, 50, 60),
+                       optimizer="gauss_newton")
+    return spec, params, bundle, cfg, images[0]
+
+
+@pytest.mark.parametrize("case", ["criterion_6_run_0", "no_damping_moves"])
+def test_held_runs_stop_stepping_and_write_the_files_of_every_step(case, tmp_path,
+                                                                   monkeypatch):
+    spec, params, bundle, cfg, truth = _held_case(case)
+    steps = []
+    step = _GaussNewtonStepper.step
+
+    def counted_step(self):
+        steps.append(self.held)
+        step(self)
+
+    monkeypatch.setattr(_GaussNewtonStepper, "step", counted_step)
+    cli._run_attack_once(spec, params, bundle, cfg, truth, tmp_path / "held")
+    held_steps = len(steps)
+    monkeypatch.setattr(gradleak.attack, "_GaussNewtonStepper", _SteppedWhileHeld)
+    cli._run_attack_once(spec, params, bundle, cfg, truth, tmp_path / "stepped")
+    assert held_steps < cfg.iterations and not any(steps[:held_steps])
+    assert len(steps) == held_steps + cfg.iterations
+    names = sorted(p.name for p in (tmp_path / "held").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "stepped").iterdir())
+    assert {"trace.tsv", "report.txt"} <= set(names)
+    for name in names:
+        assert (tmp_path / "held" / name).read_bytes() == (tmp_path / "stepped" / name).read_bytes()
 
 
 class TestImprovedVariant:

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradleak import (
@@ -471,3 +472,37 @@ def test_demo_runs_and_is_deterministic(tmp_path, capsys):
     for name in ("truth.pgm", "model.txt", "grad.glkb", "recovered.pgm",
                  "trace.tsv", "report.txt"):
         assert (a / name).exists()
+
+
+def _readme_demo_lines():
+    """The README's demo MSE at two BLAS threads and at one, and the NumPy
+    and OpenBLAS versions it names for them."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    two = re.search(r"# final mse_255: (\S+)", text).group(1)
+    build = re.search(r"numpy (\S+) with OpenBLAS (\S+) on two threads; one thread prints (\S+)\)",
+                      text)
+    return {2: two, 1: build.group(3)}, build.group(1), build.group(2)
+
+
+def _numpy_openblas_version():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("version", "") if "openblas" in blas.get("name", "") else None
+
+
+def test_demo_prints_the_readme_lines_at_one_and_two_blas_threads(tmp_path):
+    want, numpy_version, openblas = _readme_demo_lines()
+    found = _numpy_openblas_version()
+    if np.__version__ != numpy_version or found is None or not found.startswith(openblas + "."):
+        pytest.skip(f"the README's demo lines are from numpy {numpy_version} with OpenBLAS "
+                    f"{openblas}; this is numpy {np.__version__} with BLAS {found or 'not OpenBLAS'}")
+    env = {**os.environ, "PYTHONPATH": str(Path(gradleak.__file__).parents[1]),
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for threads, mse in want.items():
+        out = tmp_path / f"t{threads}"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from gradleak.cli import main; main()",
+             "demo", "--seed", "7", "--out", str(out)],
+            capture_output=True, text=True, env={**env, "OPENBLAS_NUM_THREADS": str(threads)})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["true label: 1, inferred from gradient sign: 1",
+                                           f"final mse_255: {mse}"], threads

@@ -167,3 +167,51 @@ def test_correlation_leading_axes_broadcast_like_per_point_calls(x_lead, other_l
                        for i in np.ndindex(lead)]
             want = np.stack(singles).reshape(lead + singles[0].shape)
             assert _same_bits(stacked[name], want), name
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (16,)])
+@pytest.mark.parametrize("h, w, window, stride", [
+    (12, 12, 2, 2),  # windows that tile the canvas: the layers' own geometry
+    (12, 12, 3, 3),
+    (13, 11, 2, 2),  # window == stride with an uncovered border
+    (9, 7, 3, 2),    # overlapping windows
+    (8, 8, 2, 3),    # gapped windows
+])
+def test_pooling_keeps_the_bits_of_the_slice_loops(h, w, window, stride, lead):
+    # a window of -0.0 cells pools to +0.0 and a -0.0 share spreads as +0.0,
+    # as the loops that start from zeros give
+    for seed in range(3):
+        x = _special_mix(seed, lead + (h, w, 3))
+        x[..., :window, :window, :] = -0.0
+        pooled = oracles.slice_loop_avg_pool(x, window, stride)
+        assert _same_bits(k.avg_pool(x, window, stride), pooled)
+        gy = _special_mix(seed + 1, pooled.shape)
+        gy[..., 0, :, :] = -0.0
+        assert _same_bits(k.avg_unpool(gy, window, stride, h, w),
+                          oracles.slice_loop_avg_unpool(gy, window, stride, h, w))
+
+
+def test_sigmoid_keeps_the_bits_of_two_quotients_at_the_edges():
+    payload_nan = np.array([0x7FF8000000000123, 0xFFF8000000000456], dtype=np.uint64).view(np.float64)
+    v = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.0, -36.0, 37.5, -37.5],
+        [709.0, -709.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf],
+        [np.nan, -np.nan], payload_nan,
+    ])
+    for lead in ((), (16,)):
+        vs = np.broadcast_to(v, lead + v.shape).copy()
+        got = k.sigmoid(vs)
+        assert _same_bits(got, oracles.two_quotient_sigmoid(vs))
+        assert np.isnan(got[..., -4:]).all() and not np.isnan(got[..., :-4]).any()
+
+
+@pytest.mark.parametrize("kh", [1, 5, 8, 9])
+def test_lead_free_row_sums_keep_the_row_order(kh):
+    # one output element of one channel, where a reduction over the kernel
+    # rows is the inner loop, and a wider output; input rows of -0.0
+    for seed in range(8):
+        for (h, w, c), (kw, d) in (((kh, 3, 1), (3, 1)), ((kh + 3, 6, 2), (3, 4))):
+            x = _special_mix(seed, (h, w, c))
+            x[seed % h] = -0.0
+            kernel = _special_mix(seed + 100, (kh, kw, c, d))
+            assert _same_bits(_corr2d(x, kernel), oracles.row_loop_corr2d(x, kernel))

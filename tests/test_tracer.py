@@ -44,15 +44,15 @@ def test_tracer_installs_counts_stacked_evaluations_and_restores(monkeypatch):
     bundle = victim_gradient(params, x, one_hot(1, 2))
     cfg = AttackConfig(iterations=2, seed=4, checkpoints=(2,), optimizer="gauss_newton")
     stepper = gradleak.attack._GaussNewtonStepper
-    rows = stepper._rows
+    residual = stepper._residual
     row_calls = []
 
-    def counted_rows(self, zs):
+    def counted_residual(self, zs):
         row_calls.append(len(zs))
-        return rows(self, zs)
+        return residual(self, zs)
 
     with monkeypatch.context() as m:
-        m.setattr(stepper, "_rows", counted_rows)
+        m.setattr(stepper, "_residual", counted_residual)
         want, want_trace = dlg_attack(spec, params, bundle, cfg)
     before_solve = np.linalg.solve
     before_evaluator = ExprGraph.evaluator
