@@ -20,9 +20,9 @@ count as much as arithmetic. Each kernel keeps the arithmetic, and its
 order, of the slice loops in `tests/oracles.py` and cuts the loops instead:
 - a correlation reads its leading axes off its rows unless the kernel is
   stacked, and without leading axes sums its kernel rows with one reduction;
-- `avg_pool` adds its cells into one accumulator, and for the pooling
-  layers' own geometry, window == stride windows that tile the canvas,
-  `avg_unpool` is two `repeat` calls on its shares;
+- `avg_pool` adds its cells into one accumulator, and `avg_unpool` spreads
+  the shares of window == stride windows that tile the canvas, the only
+  window == stride pools graph builders make, with two `repeat` calls;
 - `sigmoid` picks its numerator with `np.maximum` instead of `np.where`.
 """
 
@@ -128,16 +128,12 @@ def rotswap(k: np.ndarray) -> np.ndarray:
 
 
 def sslice2d(x: np.ndarray, s: int) -> np.ndarray:
-    if s == 1:
-        return x
     return np.ascontiguousarray(x[..., ::s, ::s, :])
 
 
 def dilate2d(x: np.ndarray, s: int, h: int, w: int) -> np.ndarray:
     """Inverse of sslice2d onto an h x w canvas: zeros off the stride grid."""
     ah, aw = x.shape[-3], x.shape[-2]
-    if s == 1 and ah == h and aw == w:
-        return x
     out = np.zeros(x.shape[:-3] + (h, w, x.shape[-1]), dtype=x.dtype)
     out[..., 0 : (ah - 1) * s + 1 : s, 0 : (aw - 1) * s + 1 : s, :] = x
     return out
@@ -172,11 +168,6 @@ def avg_unpool(gy: np.ndarray, window: int, stride: int, h: int, w: int) -> np.n
         g += 0.0
         return g.repeat(stride, axis=-3).repeat(stride, axis=-2)
     out = np.zeros(gy.shape[:-3] + (h, w, c), dtype=gy.dtype)
-    if window == stride:
-        cells = out[..., : gh * stride, : gw * stride, :].reshape(
-            gy.shape[:-3] + (gh, stride, gw, stride, c))
-        np.add(g[..., :, None, :, None, :], 0.0, out=cells)
-        return out
     rows = (gh - 1) * stride + 1
     cols = (gw - 1) * stride + 1
     for a in range(window):

@@ -16,13 +16,12 @@ the package's one implementation of every operation, shape rules included
 the eager `conv2d` builds one graph convolution over two constants.
 
 `evaluator` compiles the ancestors of its outputs once into a flat
-instruction list whose slots are node ids: constants, variables by name and
-shape, and one step per computed node holding its rule, a getter of its
-inputs (an `operator.itemgetter`, built once) and the slots whose last
-consumer it is. The correlations of one input, margin and kernel width
-share one more step, the im2col copy of their padded input (Chellapilla et
-al., 2006), in a slot past the node ids. A call fills a plain list step by
-step and drops every value that is not an output after its last use.
+instruction list whose slots are node ids: a value list with the constants
+already in place, variables by name and shape, and one step per computed
+node holding its rule `_EVAL[op]`, a getter of its inputs (an
+`operator.itemgetter`, built once) and the slots whose last consumer it
+is. A call copies the value list, fills it step by step and drops every
+value that is not an output after its last use.
 Plans of small arrays spend about as much on per-call bookkeeping as on
 arithmetic, so a float64 ndarray bound to a variable of its shape is used
 as it is, without the conversion and checks other bindings get. Rules
@@ -34,7 +33,12 @@ their input by it, or crop it when the margin is negative. The input
 gradient of a correlation with margin m is then the correlation of the
 upstream gradient with margin k-1-m (the zero-padding identity of
 transposed convolutions, Dumoulin and Visin, arXiv:1603.07285), so no
-gradient is built full-size and cropped.
+gradient is built full-size and cropped. A correlation reads its margined
+input through a third input, a private `im2col` node with params (margin,
+kernel width) that holds the row-wise im2col copy of it (Chellapilla et
+al., 2006). Equal nodes merge, so the correlations of one input, margin and
+kernel width read one copy per evaluation. Their derivative rules
+differentiate x directly, so no adjoint reaches an `im2col` node.
 
 Builders rewrite a node only where the result has the same bits in IEEE
 arithmetic, -0.0 included:
@@ -49,8 +53,8 @@ arithmetic, -0.0 included:
 The loss head is one primitive, `log_softmax`, with its max shift inside
 the rule: `softmax` is its exponential and `cross_entropy_logits` its
 target-weighted sum, and its derivative rule is built from `exp`, `fill`
-and `sum_all`. Every primitive has a derivative rule, so `grad` reaches no
-op it cannot differentiate.
+and `sum_all`. Every primitive but `im2col` has a derivative rule, and
+`grad` reaches no `im2col` node, so it meets no op it cannot differentiate.
 """
 
 from __future__ import annotations
@@ -131,6 +135,11 @@ class ExprGraph:
 
     def variables(self) -> Mapping[str, NodeId]:
         return dict(self._vars)
+
+    def _check_ids(self, who: str, ids: Iterable[NodeId]) -> None:
+        for i in ids:
+            if not 0 <= i < len(self._nodes):
+                raise ContractError(f"{who}: unknown node id {i}")
 
     def _append(self, op: str, inputs: tuple[NodeId, ...], shape: Shape,
                 params: tuple = (), payload: np.ndarray | None = None) -> NodeId:
@@ -294,7 +303,8 @@ class ExprGraph:
             )
         oh = conv_output_size(sx[0], sk[0], 1, 0)
         ow = conv_output_size(sx[1], sk[0], 1, 0)
-        return self._append("corr2d", (x, kernel), (oh, ow, sk[3]), params=(margin,))
+        rows = self._im2col(x, margin, sk[1])
+        return self._append("corr2d", (x, kernel, rows), (oh, ow, sk[3]), params=(margin,))
 
     def kgrad_corr(self, x: NodeId, dy: NodeId, margin: int = 0) -> NodeId:
         sx = self._margined("kgrad_corr", x, margin)
@@ -308,7 +318,14 @@ class ExprGraph:
                 f"kgrad_corr: input {sx} and output grid {sy} give a non-square "
                 f"kernel grid {(kh, kw)}; corr2d takes kxkxCxD kernels only"
             )
-        return self._append("kgrad_corr", (x, dy), (kh, kw, sx[2], sy[2]), params=(margin,))
+        rows = self._im2col(x, margin, kw)
+        return self._append("kgrad_corr", (x, dy, rows), (kh, kw, sx[2], sy[2]), params=(margin,))
+
+    def _im2col(self, x: NodeId, margin: int, kw: int) -> NodeId:
+        """The `_kernels.im2col` rows of x margined by `margin` for kernels kw
+        wide; only correlations read them, so only their builders call this."""
+        h, w, c = self._margined("im2col", x, margin)
+        return self._append("im2col", (x,), (h, w - kw + 1, kw, c), params=(margin, kw))
 
     def rotswap(self, kernel: NodeId) -> NodeId:
         s = self.shape_of(kernel)
@@ -408,66 +425,48 @@ class ExprGraph:
         The plan is the id-sorted ancestor set of the outputs, resolved once
         into the instruction list described above; each step hands its rule
         the sequence its input getter takes from the value list. Shared
-        subexpressions are computed once per call, and so is the im2col copy
-        that correlations of one input, margin and kernel width read, just
-        before its first reader. No value outlives its last consumer unless
-        it is an output, and the plan stays valid as the graph grows. A
-        variable is bound to an array of exactly its shape, or to a `Stack`
-        of B such points; all stacks in one call share B, and then each
-        output comes back with shape (B,) + its node shape, entry b being
-        the output at the b-th point of every stack. An output computed
-        from a stack is returned as it is; one that depends on no stacked
-        variable is a read-only broadcast of its single value. A float64
-        ndarray of the variable's shape is used as it is, in any layout;
-        anything else (a `Tensor`, another dtype, nested lists) goes through
-        `_bound` and the shape checks.
+        subexpressions, im2col rows included, are computed once per call.
+        No value outlives its last consumer unless it is an output, and the
+        plan stays valid as the graph grows. A variable is bound to an array
+        of exactly its shape, or to a `Stack` of B such points; all stacks
+        in one call share B, and then each output comes back with shape
+        (B,) + its node shape, entry b being the output at the b-th point of
+        every stack. An output computed from a stack is returned as it is;
+        one that depends on no stacked variable is a read-only broadcast of
+        its single value. A float64 ndarray of the variable's shape is used
+        as it is, in any layout; anything else (a `Tensor`, another dtype,
+        nested lists) goes through `_bound` and the shape checks.
         """
         key = tuple(outputs)
-        for o in key:
-            if not 0 <= o < len(self._nodes):
-                raise ContractError(f"evaluator: unknown node id {o}")
+        self._check_ids("evaluator", key)
         order = sorted(self._ancestors(key))
         nodes = self._nodes
-        n_vals = order[-1] + 1
-        consts, variables, computed = [], [], []  # computed: (slot, rule, node, inputs)
-        rows_slot: dict[tuple, int] = {}
+        template: list = [None] * (order[-1] + 1)
+        variables, computed = [], []
         for nid in order:
             node = nodes[nid]
             if node.op == "const":
-                consts.append((nid, node.payload))
+                template[nid] = node.payload
             elif node.op == "var":
                 variables.append((nid, node.params[0], node.shape))
-            elif node.op in _FROM_ROWS:
-                # the correlation reads its input's im2col rows from a slot
-                # past the node ids, filled by the step its first reader adds
-                x, other = node.inputs
-                kw = (node.shape if node.op == "kgrad_corr" else nodes[other].shape)[1]
-                rows_key = (x, node.params[0], kw)
-                slot = rows_slot.get(rows_key)
-                if slot is None:
-                    slot = rows_slot[rows_key] = n_vals
-                    n_vals += 1
-                    computed.append((slot, _im2col, _Node("im2col", (x,), (), rows_key[1:]), (x,)))
-                computed.append((nid, _FROM_ROWS[node.op], node, (slot, other)))
             else:
-                computed.append((nid, _EVAL[node.op], node, node.inputs))
-        last_use = {i: slot for slot, _, _, ins in computed for i in ins}
+                computed.append((nid, node))
+        last_use = {i: nid for nid, node in computed for i in node.inputs}
         for o in key:
             last_use.pop(o, None)
         dies_at: dict[int, list[int]] = {}
-        for i, slot in last_use.items():
-            dies_at.setdefault(slot, []).append(i)
+        for i, nid in last_use.items():
+            dies_at.setdefault(nid, []).append(i)
         steps = []
-        for slot, rule, node, ins in computed:
+        for nid, node in computed:
+            ins = node.inputs
             # one input is got as a slice, so a rule still gets a sequence
             get = itemgetter(*ins) if len(ins) > 1 else itemgetter(slice(ins[0], ins[0] + 1))
-            steps.append((slot, rule, node, get, tuple(dies_at.get(slot, ()))))
+            steps.append((nid, _EVAL[node.op], node, get, tuple(dies_at.get(nid, ()))))
         out_shapes = [nodes[o].shape for o in key]
 
         def run(bindings: Mapping[str, np.ndarray | Stack]) -> list[np.ndarray]:
-            vals: list = [None] * n_vals
-            for nid, payload in consts:
-                vals[nid] = payload
+            vals = template.copy()
             size = None
             for nid, name, shape in variables:
                 arr = bindings.get(name)
@@ -550,11 +549,12 @@ def grad(graph: ExprGraph, wrt: Iterable[NodeId], of: NodeId) -> dict[NodeId, No
     in the same graph and can be differentiated again. Variables that cannot
     reach `of` get a zero constant of their own shape.
     """
+    wanted = list(wrt)
+    graph._check_ids("grad", [of, *wanted])
     if graph.shape_of(of) != ():
         raise ContractError(
             f"grad: output must be scalar, node {of} has shape {graph.shape_of(of)}"
         )
-    wanted = list(wrt)
     for v in wanted:
         if graph.op_of(v) != "var":
             raise ContractError(f"grad: node {v} ({graph.op_of(v)}) is not a variable leaf")
@@ -608,11 +608,6 @@ def _margin(x: np.ndarray, m: int) -> np.ndarray:
     return k.pad2d(x, m) if m >= 0 else k.crop2d(x, -m)
 
 
-def _rows(x: np.ndarray, m: int, kw: int) -> np.ndarray:
-    """The im2col rows a correlation with margin m and kernel width kw reads."""
-    return k.im2col(_margin(x, m), kw)
-
-
 def _log_softmax(n, a):
     shifted = a[0] - np.maximum.reduce(a[0], axis=-1, keepdims=True)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
@@ -640,27 +635,15 @@ _EVAL.update({
     "matvec": lambda n, a: np.matmul(a[0], a[1][..., None])[..., 0],
     "matvec_t": lambda n, a: np.matmul(a[0].swapaxes(-1, -2), a[1][..., None])[..., 0],
     "outer": lambda n, a: a[0][..., :, None] * a[1][..., None, :],
-    "corr2d": lambda n, a: k.corr2d(_rows(a[0], n.params[0], a[1].shape[-3]), a[1]),
-    "kgrad_corr": lambda n, a: k.kgrad_corr(_rows(a[0], n.params[0], n.shape[1]), a[1]),
+    "im2col": lambda n, a: k.im2col(_margin(a[0], n.params[0]), n.params[1]),
+    "corr2d": lambda n, a: k.corr2d(a[2], a[1]),
+    "kgrad_corr": lambda n, a: k.kgrad_corr(a[2], a[1]),
     "rotswap": lambda n, a: k.rotswap(a[0]),
     "sslice2d": lambda n, a: k.sslice2d(a[0], n.params[0]),
     "dilate2d": lambda n, a: k.dilate2d(a[0], *n.params),
     "avg_pool2d": lambda n, a: k.avg_pool(a[0], *n.params),
     "avg_unpool2d": lambda n, a: k.avg_unpool(a[0], *n.params),
 })
-
-
-# A compiled plan gives each (input, margin, kernel width) of its correlations
-# one im2col step, whose params are (margin, kw), and the correlations read it.
-# The width alone fixes the copy; kh only picks the blocks a kernel reads.
-def _im2col(n, a):
-    return _rows(a[0], *n.params)
-
-
-_FROM_ROWS: dict[str, Callable] = {
-    "corr2d": lambda n, a: k.corr2d(*a),
-    "kgrad_corr": lambda n, a: k.kgrad_corr(*a),
-}
 
 
 # ------------------------------------------------------------- VJP registry
@@ -742,17 +725,22 @@ def _vjp_outer(g, nid, gbar):
 
 
 def _vjp_corr2d(g, nid, gbar):
-    x, kernel = g.node(nid).inputs
+    x, kernel, _ = g.node(nid).inputs
     (m,) = g.node(nid).params
     back = g.shape_of(kernel)[0] - 1 - m
     return [(0, g.corr2d(gbar, g.rotswap(kernel), back)), (1, g.kgrad_corr(x, gbar, m))]
 
 
 def _vjp_kgrad_corr(g, nid, gbar):
-    x, dy = g.node(nid).inputs
+    x, dy, _ = g.node(nid).inputs
     (m,) = g.node(nid).params
     back = g.shape_of(nid)[0] - 1 - m
     return [(0, g.corr2d(dy, g.rotswap(gbar), back)), (1, g.corr2d(x, gbar, m))]
+
+
+def _vjp_im2col(g, nid, gbar):
+    raise ContractError("grad: no derivative rule reaches an im2col node; "
+                        "correlations differentiate their input directly")
 
 
 def _vjp_rotswap(g, nid, gbar):
@@ -799,6 +787,7 @@ _VJP.update({
     "outer": _vjp_outer,
     "corr2d": _vjp_corr2d,
     "kgrad_corr": _vjp_kgrad_corr,
+    "im2col": _vjp_im2col,
     "rotswap": _vjp_rotswap,
     "sslice2d": _vjp_sslice2d,
     "dilate2d": _vjp_dilate2d,

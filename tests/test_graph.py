@@ -73,6 +73,20 @@ def test_grad_requires_scalar_output():
         grad(g, [x], of=y)
 
 
+def test_grad_rejects_ids_that_are_not_nodes():
+    # a negative id would index from the end, and an `of` past the end would
+    # sweep nothing; both are refused before any node is added
+    g = ExprGraph()
+    x = g.variable("x", (2,))
+    loss = g.sum_all(g.exp(x))
+    size = len(g)
+    for wrt, of, bad in (([x], -1, -1), ([x], size, size), ([-3], loss, -3), ([x, size], loss, size)):
+        with pytest.raises(ContractError) as caught:
+            grad(g, wrt, of)
+        assert str(caught.value) == f"grad: unknown node id {bad}"
+    assert len(g) == size
+
+
 def test_unreachable_variable_gets_zero_gradient():
     g = ExprGraph()
     x = g.variable("x", ())
@@ -794,7 +808,9 @@ def _keep_every_node(g, outputs, bindings):
     return [np.broadcast_to(vals[o], (size,) + g.shape_of(o)) for o in outputs]
 
 
-def test_compiled_plan_matches_an_evaluator_that_keeps_every_node():
+def _hand_built_plan():
+    """A graph whose plan reads one input twice in a step and drops values
+    before the end, its outputs, and the variables stacked in its Stack case."""
     g = ExprGraph()
     x = g.variable("x", (5, 5, 1))
     kr = g.variable("k", (3, 3, 1, 2))
@@ -815,16 +831,30 @@ def test_compiled_plan_matches_an_evaluator_that_keeps_every_node():
     assert any(len(g.node(n).inputs) == 1 for n in plan)
     last = {i: n for n in plan for i in g.node(n).inputs}
     assert any(g.node(n).inputs == (v, v) for v, n in last.items() if v not in outputs)
-    run = g.evaluator(outputs)
+    return g, outputs, ["x", "t"]
 
-    rng = SeedRng(53)
-    plain = {"x": _rand(rng, (5, 5, 1)), "k": _rand(rng, (3, 3, 1, 2)), "t": _rand(rng, (3, 3, 2)),
-             "u": _rand(rng, (3, 3, 2))}
-    stacked = {**plain, "x": Stack(_rand(rng, (3, 5, 5, 1))), "t": Stack(_rand(rng, (3, 3, 3, 2)))}
-    for bindings in (plain, stacked):
-        got, want = run(bindings), _keep_every_node(g, outputs, bindings)
-        assert [a.shape for a in got] == [a.shape for a in want]
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+def _scenario_plan(name):
+    """A criterion-2 scenario's output and its gradients, all variables stacked."""
+    var_shapes, build = _primitive_scenarios()[name]
+    g = ExprGraph()
+    nodes = [g.variable(v, s) for v, s in var_shapes.items()]
+    out = build(g, dict(zip(var_shapes, nodes)))
+    return g, [out, *grad(g, nodes, g.sum_all(out)).values()], list(var_shapes)
+
+
+def test_compiled_plan_matches_an_evaluator_that_keeps_every_node():
+    for case in ["hand-built"] + sorted(_primitive_scenarios()):
+        g, outputs, stacked_names = _hand_built_plan() if case == "hand-built" else _scenario_plan(case)
+        run = g.evaluator(outputs)
+        rng = SeedRng(53)
+        shapes = {name: g.shape_of(nid) for name, nid in g.variables().items()}
+        plain = {name: _rand(rng, shape) for name, shape in shapes.items()}
+        stacked = {**plain, **{name: Stack(_rand(rng, (3,) + shapes[name])) for name in stacked_names}}
+        for bindings in (plain, stacked):
+            got, want = run(bindings), _keep_every_node(g, outputs, bindings)
+            assert [a.shape for a in got] == [a.shape for a in want], case
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], case
 
 
 @pytest.mark.parametrize("plan", ["baseline", "improved", "gn_residual"])
@@ -914,6 +944,7 @@ def test_a_gd_step_makes_one_im2col_call_per_correlation_input(monkeypatch):
     plan = g._ancestors(outputs)
     corrs = [g.node(n) for n in plan if g.op_of(n) in ("corr2d", "kgrad_corr")]
     assert len(corrs) == 12 and len({(n.inputs[0], n.params[0]) for n in corrs}) == 7
+    assert sum(g.op_of(n) == "im2col" for n in plan) == 7
     run = g.evaluator(outputs)
     rng = SeedRng(47)
     bindings = {name: _rand(rng, g.shape_of(nid)) for name, nid in g.variables().items()}

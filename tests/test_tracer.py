@@ -107,8 +107,8 @@ def test_tracer_records_the_gd_step_plans():
     for traced, untraced in zip(got, want):
         assert np.array_equal(traced.x_virtual.array, untraced.x_virtual.array)
         assert np.array_equal(traced.y_virtual.array, untraced.y_virtual.array)
-    assert tracer.plans["gd_step_dlg"][0] == 121
-    assert tracer.plans["gd_step_improved"][0] == 133
+    assert tracer.plans["gd_step_dlg"][0] == 128
+    assert tracer.plans["gd_step_improved"][0] == 140
     names = {tracer.names[i] for i in tracer.span_name}
     assert {"graph.grad", "graph.meta_grad", "graph.build.build_logits",
             "graph.build.gradient_distance", "graph.build.mean_anchor_penalty"} <= names
